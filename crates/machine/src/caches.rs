@@ -1,9 +1,9 @@
 //! A core's private cache pair (L1D + L2).
 //!
-//! All state here is strictly per-core, which is what lets the
-//! slice-parallel engine (`crate::sliced`) retire L1/L2 hits for
-//! different cores on different worker threads without synchronization:
-//! phase A of every epoch touches only one `PrivateCaches` per thread.
+//! All state here is strictly per-core, which is what lets the sliced
+//! epoch engine (`crate::sliced`) check each core's pair out of the
+//! machine and retire its L1/L2 hits in phase A without touching any
+//! other core.
 
 use secdir_cache::{Evicted, Geometry, ReplacementPolicy, SetAssoc};
 use secdir_coherence::Moesi;

@@ -7,10 +7,10 @@
 //! in global-time order, so cross-core interleavings — the substance of
 //! directory conflicts — are modeled faithfully at transaction granularity.
 //!
-//! This serial engine is the *reference semantics*. The slice-parallel
+//! This serial engine is the *reference semantics*. The sliced epoch
 //! engine ([`crate::run_workload_sliced`], module `sliced`) runs the same
-//! workloads with directory slices on worker threads under an
-//! epoch-barrier timing model; its canonical drain order reuses this
+//! workloads partitioned per core and per directory slice under an
+//! epoch timing model; its canonical drain order reuses this
 //! engine's scheduler key (`(ready, core)`), and a single-core sliced run
 //! is bit-identical to this engine.
 

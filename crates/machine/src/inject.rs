@@ -203,11 +203,10 @@ impl Machine {
     /// Epoch-granular injection step for the sliced engine
     /// (`crate::sliced`): advances the armed fault's access counter by the
     /// epoch's retired accesses and attempts a pending corruption fault
-    /// once, at the epoch barrier. Behavioral faults still fire from
+    /// once, at the epoch boundary. Behavioral faults still fire from
     /// [`FaultState::drops_batch`] on the merge phase's shared
     /// invalidation path. Trigger granularity is therefore one epoch
-    /// rather than one access; determinism across slice-thread counts is
-    /// unaffected because the epoch schedule is thread-count independent.
+    /// rather than one access.
     pub(crate) fn fault_epoch(&mut self, retired: u64) {
         let (kind, core, pending) = {
             let Some(f) = self.fault.as_mut() else { return };

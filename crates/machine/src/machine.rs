@@ -353,7 +353,7 @@ pub struct Machine {
     /// branch per access.
     pub(crate) fault: Option<crate::inject::FaultState>,
     /// Epoch-engine mode (`crate::sliced`): cross-core effects computed
-    /// during an epoch are applied at its barrier, so an invalidation may
+    /// during an epoch are applied at its merge, so an invalidation may
     /// arrive after the copy is already gone and an upgrade response may
     /// carry a data source. The serial path keeps `false` and the strict
     /// debug assertions that come with it.

@@ -216,7 +216,7 @@ impl Machine {
     /// Epoch-granular periodic-oracle step for the sliced engine
     /// (`crate::sliced`): advances the access counter by a whole epoch at
     /// once and sweeps when an [`ORACLE_INTERVAL`] boundary was crossed.
-    /// Runs at the epoch barrier, where the machine is whole and
+    /// Runs at the epoch boundary, where the machine is whole and
     /// coherent.
     ///
     /// # Panics

@@ -8,11 +8,11 @@
 //! * **serial**: one machine, one timed measured phase (the warm-up is
 //!   excluded from the clock and the count) — the per-cell speed of the
 //!   reference engine itself.
-//! * **sliced**: the same single-machine window driven by the
-//!   slice-parallel epoch engine
+//! * **sliced**: the same single-machine window driven by the sliced
+//!   epoch engine
 //!   ([`run_workload_sliced_with`](crate::run_workload_sliced_with)), one
-//!   row per ([`PerfSpec::slice_threads`], [`PerfSpec::epoch_batches`])
-//!   combination, each row carrying its `epoch_batch`/`pipeline` tuning.
+//!   row per [`PerfSpec::epoch_batches`] entry, each row carrying its
+//!   `epoch_batch`.
 //! * **sweep**: a seed-replicated cell matrix fanned out through
 //!   [`sweep`](crate::sweep::sweep) — the harness-level speed, warm-up
 //!   included in both the clock and the count, recorded as
@@ -20,7 +20,7 @@
 //!   comparable rates.
 //!
 //! Results serialize to JSONL with a fixed field order (`schema`
-//! `secdir-bench-throughput/3`, documented in EXPERIMENTS.md) so
+//! `secdir-bench-throughput/4`, documented in EXPERIMENTS.md) so
 //! `BENCH_throughput.json` diffs cleanly across PRs and the perf
 //! trajectory of the engine is tracked in-repo.
 
@@ -70,17 +70,11 @@ pub struct PerfSpec {
     /// only ever adds time, so the minimum over a few windows estimates
     /// the engine's actual speed far better than any single window.
     pub serial_reps: usize,
-    /// Slice-thread counts for the epoch-engine samples: one extra
-    /// single-machine row per (thread count, epoch batch) pair, driven by
+    /// Epoch-batch values for the epoch-engine samples (`--epoch-batch`):
+    /// one single-machine row per value, driven by
     /// [`run_workload_sliced_with`](crate::run_workload_sliced_with).
     /// Empty skips the sliced samples entirely.
-    pub slice_threads: Vec<usize>,
-    /// Epoch-batch values swept for the sliced samples (`--epoch-batch`).
-    /// Each value produces one sliced row per `slice_threads` entry; empty
-    /// skips the sliced samples, like an empty `slice_threads`.
     pub epoch_batches: Vec<usize>,
-    /// Software pipelining for the sliced samples (`--pipeline`).
-    pub pipeline: bool,
 }
 
 impl PerfSpec {
@@ -97,9 +91,7 @@ impl PerfSpec {
             threads: std::thread::available_parallelism().map_or(1, usize::from),
             seed: 0x5eed,
             serial_reps: 5,
-            slice_threads: vec![1, 2, 4, 8],
             epoch_batches: vec![64],
-            pipeline: false,
         }
     }
 
@@ -110,7 +102,6 @@ impl PerfSpec {
             measure: 20_000,
             sweep_cells: 4,
             serial_reps: 3,
-            slice_threads: vec![4],
             ..PerfSpec::full()
         }
     }
@@ -128,8 +119,8 @@ pub struct PerfSample {
     pub tuning: Option<SlicedOptions>,
     /// Machines run (1 for serial, `sweep_cells` for sweep).
     pub cells: usize,
-    /// Worker threads used (1 for the serial reference engine, the
-    /// slice-thread count for epoch-engine rows).
+    /// Worker threads used (1 for the serial and epoch engines,
+    /// [`PerfSpec::threads`] for the sweep).
     pub threads: usize,
     /// Whether the warm-up phase ran inside the timed window (and is
     /// therefore included in `accesses`). `false` for serial and sliced
@@ -152,22 +143,19 @@ impl PerfSample {
     }
 
     /// One JSON object (one JSONL line, no trailing newline); fixed field
-    /// order, schema `secdir-bench-throughput/3` (see EXPERIMENTS.md).
+    /// order, schema `secdir-bench-throughput/4` (see EXPERIMENTS.md).
     /// Schema `/2` added `warmup_timed` after `serial_reps`; schema `/3`
     /// renamed the epoch-engine rows from `mode:"serial"` to
     /// `mode:"sliced"` and gave them `epoch_batch`/`pipeline` fields
-    /// after `threads`.
+    /// after `threads`; schema `/4` dropped `pipeline`.
     pub fn to_json_line(&self, spec: &PerfSpec) -> String {
         let tuning = match self.tuning {
-            Some(t) => format!(
-                ",\"epoch_batch\":{},\"pipeline\":{}",
-                t.epoch_batch, t.pipeline
-            ),
+            Some(t) => format!(",\"epoch_batch\":{}", t.epoch_batch),
             None => String::new(),
         };
         format!(
             concat!(
-                "{{\"schema\":\"secdir-bench-throughput/3\",",
+                "{{\"schema\":\"secdir-bench-throughput/4\",",
                 "\"workload\":\"{workload}\",\"directory\":\"{directory}\",",
                 "\"mode\":\"{mode}\",\"cores\":{cores},\"warmup\":{warmup},",
                 "\"measure\":{measure},\"serial_reps\":{reps},",
@@ -244,40 +232,27 @@ fn measure_serial<F: StreamFactory + ?Sized>(
     }
 }
 
-/// Times the measured phase of one cell under the slice-parallel epoch
-/// engine ([`run_workload_sliced_with`](crate::run_workload_sliced_with))
-/// at `slice_threads` workers with the given tuning. Same windowing
-/// discipline as [`measure_serial`]: warm-up outside the clock, fastest
-/// of `spec.serial_reps` repetitions. Reported as `mode:"sliced"` (one
-/// machine, one cell) with `threads` recording the worker count and the
-/// tuning recorded on the row.
+/// Times the measured phase of one cell under the sliced epoch engine
+/// ([`run_workload_sliced_with`](crate::run_workload_sliced_with)) with
+/// the given tuning. Same windowing discipline as [`measure_serial`]:
+/// warm-up outside the clock, fastest of `spec.serial_reps` repetitions.
+/// Reported as `mode:"sliced"` (one machine, one cell) with the tuning
+/// recorded on the row.
 fn measure_sliced<F: StreamFactory + ?Sized>(
     spec: &PerfSpec,
     kind: DirectoryKind,
     factory: &F,
-    slice_threads: usize,
     options: SlicedOptions,
 ) -> PerfSample {
     let cell = cell_for(spec, kind, spec.seed);
     let mut machine = Machine::new(MachineConfig::skylake_x(cell.cores, cell.kind));
     let mut streams = factory.streams(&cell);
-    run_workload_sliced_with(
-        &mut machine,
-        &mut streams,
-        cell.warmup,
-        slice_threads,
-        options,
-    );
+    run_workload_sliced_with(&mut machine, &mut streams, cell.warmup, 1, options);
     let mut best: (u64, u128) = (0, u128::MAX);
     for _ in 0..spec.serial_reps.max(1) {
         let start = Instant::now();
-        let summary = run_workload_sliced_with(
-            &mut machine,
-            &mut streams,
-            cell.measure,
-            slice_threads,
-            options,
-        );
+        let summary =
+            run_workload_sliced_with(&mut machine, &mut streams, cell.measure, 1, options);
         let nanos = start.elapsed().as_nanos();
         let accesses: u64 = summary.cores.iter().map(|c| c.accesses).sum();
         if nanos < best.1 {
@@ -290,7 +265,7 @@ fn measure_sliced<F: StreamFactory + ?Sized>(
         mode: "sliced",
         tuning: Some(options),
         cells: 1,
-        threads: slice_threads,
+        threads: 1,
         warmup_timed: false,
         accesses,
         nanos,
@@ -324,22 +299,16 @@ fn measure_sweep<F: StreamFactory + ?Sized>(
 }
 
 /// Runs the full measurement: for each kind in `spec.kinds`, one serial
-/// sample, one epoch-engine sample per ([`PerfSpec::slice_threads`],
-/// [`PerfSpec::epoch_batches`]) pair, then one sweep sample, in spec
-/// order.
+/// sample, one epoch-engine sample per [`PerfSpec::epoch_batches`] entry,
+/// then one sweep sample, in spec order.
 pub fn measure<F: StreamFactory + ?Sized>(spec: &PerfSpec, factory: &F) -> Vec<PerfSample> {
-    let per_kind = 2 + spec.slice_threads.len() * spec.epoch_batches.len();
+    let per_kind = 2 + spec.epoch_batches.len();
     let mut out = Vec::with_capacity(spec.kinds.len() * per_kind);
     for &kind in &spec.kinds {
         out.push(measure_serial(spec, kind, factory));
-        for &st in &spec.slice_threads {
-            for &batch in &spec.epoch_batches {
-                let options = SlicedOptions {
-                    epoch_batch: batch,
-                    pipeline: spec.pipeline,
-                };
-                out.push(measure_sliced(spec, kind, factory, st, options));
-            }
+        for &epoch_batch in &spec.epoch_batches {
+            let options = SlicedOptions { epoch_batch };
+            out.push(measure_sliced(spec, kind, factory, options));
         }
         out.push(measure_sweep(spec, kind, factory));
     }
@@ -394,9 +363,7 @@ mod tests {
             threads: 2,
             seed: 7,
             serial_reps: 3,
-            slice_threads: vec![2],
             epoch_batches: vec![64, 256],
-            pipeline: false,
         }
     }
 
@@ -421,7 +388,7 @@ mod tests {
     fn measure_counts_the_right_windows() {
         let spec = tiny_spec();
         let samples = measure(&spec, &factory);
-        let per_kind = 2 + spec.slice_threads.len() * spec.epoch_batches.len();
+        let per_kind = 2 + spec.epoch_batches.len();
         assert_eq!(samples.len(), spec.kinds.len() * per_kind);
         for group in samples.chunks(per_kind) {
             let serial = &group[0];
@@ -436,23 +403,11 @@ mod tests {
             assert_eq!(serial.accesses, spec.measure * spec.cores as u64);
             assert!(!serial.warmup_timed);
             // … epoch-engine rows use the same window discipline, one per
-            // (thread count, epoch batch) pair with the tuning recorded …
-            let mut expected = Vec::new();
-            for &st in &spec.slice_threads {
-                for &batch in &spec.epoch_batches {
-                    expected.push((st, batch));
-                }
-            }
-            for (sliced, &(st, batch)) in group[1..per_kind - 1].iter().zip(&expected) {
+            // epoch batch with the tuning recorded …
+            for (sliced, &epoch_batch) in group[1..per_kind - 1].iter().zip(&spec.epoch_batches) {
                 assert_eq!(sliced.mode, "sliced");
-                assert_eq!(sliced.threads, st);
-                assert_eq!(
-                    sliced.tuning,
-                    Some(SlicedOptions {
-                        epoch_batch: batch,
-                        pipeline: false,
-                    })
-                );
+                assert_eq!(sliced.threads, 1);
+                assert_eq!(sliced.tuning, Some(SlicedOptions { epoch_batch }));
                 assert_eq!(sliced.directory, serial.directory);
                 assert_eq!(sliced.accesses, spec.measure * spec.cores as u64);
                 assert!(!sliced.warmup_timed);
@@ -484,7 +439,7 @@ mod tests {
             nanos: 1_200_000,
         };
         let line = s.to_json_line(&spec);
-        assert!(line.starts_with("{\"schema\":\"secdir-bench-throughput/3\""));
+        assert!(line.starts_with("{\"schema\":\"secdir-bench-throughput/4\""));
         assert!(line.contains("\"directory\":\"secdir\""));
         assert!(line.contains("\"mode\":\"sweep\""));
         assert!(line.contains("\"warmup_timed\":true,\"cells\":2"));
@@ -502,19 +457,17 @@ mod tests {
         let s = PerfSample {
             directory: DirectoryKind::SecDir,
             mode: "sliced",
-            tuning: Some(SlicedOptions {
-                epoch_batch: 256,
-                pipeline: true,
-            }),
+            tuning: Some(SlicedOptions { epoch_batch: 256 }),
             cells: 1,
-            threads: 4,
+            threads: 1,
             warmup_timed: false,
             accesses: 4_800,
             nanos: 1_200_000,
         };
         let line = s.to_json_line(&spec);
-        assert!(line.starts_with("{\"schema\":\"secdir-bench-throughput/3\""));
+        assert!(line.starts_with("{\"schema\":\"secdir-bench-throughput/4\""));
         assert!(line.contains("\"mode\":\"sliced\""));
-        assert!(line.contains("\"threads\":4,\"epoch_batch\":256,\"pipeline\":true,"));
+        assert!(line.contains("\"threads\":1,\"epoch_batch\":256,\"accesses\""));
+        assert!(!line.contains("pipeline"));
     }
 }

@@ -1,116 +1,93 @@
-//! The deterministic slice-parallel epoch engine.
+//! The deterministic slice-partitioned epoch engine.
 //!
 //! [`run_workload_sliced`] runs the same per-core [`AccessStream`]s as
 //! [`run_workload`](crate::run_workload), but partitions the machine the
-//! way the hardware is partitioned: each directory slice (with its LLC
-//! bank) and each core's private caches can be driven by a separate worker
-//! thread, synchronized only at **epoch barriers**.
+//! way the hardware is partitioned: each core's private caches and each
+//! directory slice (with its LLC bank) is a separate cell, and the cells
+//! meet only at **epoch boundaries**. The whole loop runs on the calling
+//! thread.
 //!
 //! # The epoch protocol
 //!
-//! Time advances in epochs. Every epoch has two parallel phases and two
-//! serial (main-thread) steps:
+//! Time advances in epochs. Every epoch runs four steps in order:
 //!
-//! 1. **Top-up** (main): each core's stream is pulled into a private
-//!    buffer, capped so total pulls never exceed the access cap — stream
-//!    consumption is exactly what the serial engine would consume, so
-//!    warm-up/measure phases can share streams across engines.
-//! 2. **Phase A — core phase** (parallel over cores): each core retires
-//!    private-cache hits from its buffer, mirroring the L1/L2 probe path
-//!    of [`Machine::access`], until it needs the directory. The first
+//! 1. **Phase A — core phase** (per core): each core pulls up to
+//!    `epoch_batch` references from its stream and retires its
+//!    private-cache hits, mirroring the L1/L2 probe path of
+//!    [`Machine::access`], until it needs the directory. The first
 //!    access that does (an L2 miss, or a non-silent write hit needing an
 //!    upgrade) is parked as the core's single *pending transaction* for
-//!    this epoch.
-//! 3. **Routing** (main): pending transactions are routed by the
-//!    machine's `SliceHash` into per-slice inboxes.
-//! 4. **Phase B — slice phase** (parallel over slices): each slice drains
-//!    its inbox in the canonical `(ready-time, core-id)` order — the same
-//!    key the serial engine's `BinaryHeap` scheduler uses — performing the
+//!    this epoch. A core pulls only while below its access cap, so stream
+//!    consumption is exactly what the serial engine would consume and
+//!    warm-up/measure phases can share streams across engines.
+//! 2. **Routing**: pending transactions are routed by the machine's
+//!    `SliceHash` into per-slice inboxes.
+//! 3. **Phase B — slice phase** (per slice): each slice drains its inbox
+//!    in the canonical `(ready-time, core-id)` order — the same key the
+//!    serial engine's `BinaryHeap` scheduler uses — performing the
 //!    directory transaction and recording the response.
-//! 5. **Merge** (main): responses are applied in the same global canonical
+//! 4. **Merge**: responses are applied in the same global canonical
 //!    order through the shared response-application path
 //!    (`apply_miss_response_in`/`apply_upgrade_response_in`), so
 //!    invalidation fan-out, owner downgrades, fills and victim evictions
-//!    are processed by exactly one thread against a coherent whole.
+//!    are processed against a coherent whole.
 //!
 //! # Ownership transfer
 //!
 //! The machine's per-core caches, per-core stats and directory slices are
 //! checked out of the [`Machine`] **once per run**
-//! ([`Machine::take_parts`]) into run-local cells. Between barriers the
-//! cells shuttle between the main thread and per-worker hand-off slots as
-//! header-sized `Vec` moves — a handful of uncontended mutex operations
-//! per *epoch*, not per transaction, and no per-epoch machine surgery.
-//! The merge runs against the cells directly through the
-//! `CoherentParts` view; the machine is reassembled only at
-//! fault-injection/oracle epochs (where those hooks need to walk a whole
-//! coherent machine) and at run end.
+//! ([`Machine::take_parts`]) into run-local cells. The merge runs against
+//! the cells directly through the `CoherentParts` view; the machine is
+//! reassembled only at fault-injection/oracle epochs (where those hooks
+//! need to walk a whole coherent machine) and at run end.
 //!
-//! # The epoch barrier
+//! # Why one thread
 //!
-//! Synchronization uses a sense-reversing barrier (`EpochBarrier`): one
-//! atomic add per arrival, a bounded spin on the generation word, then a
-//! `thread::yield_now` tier, then `thread::park`. On a machine with spare
-//! cores an epoch crossing stays in user space entirely; oversubscribed
-//! hosts skip the spin and yield straight away. This replaces the four
-//! kernel-mediated `std::sync::Barrier` waits per epoch that dominated the
-//! first version's per-epoch cost.
+//! Phases A and B are independent across cores and across slices, and
+//! earlier versions ran them on worker threads behind an epoch barrier.
+//! That never beat this loop. The one-transaction-per-core-per-epoch rule
+//! fixes the epoch count at roughly L2 misses ÷ cores, so an 8-core mix0
+//! run has tens of thousands of epochs of about 8 µs each, split roughly
+//! stream pulls 20%, private-cache hits 40%, routing 1%, phase B 25%,
+//! merge 13%. Only the per-core and per-slice work could be shared out,
+//! about 2.6 µs per epoch at two threads, against four barrier crossings
+//! per epoch (DESIGN.md §10 has the measurements). Multicore speed-up comes from running independent
+//! machines in parallel ([`sweep`](crate::sweep)) instead.
 //!
 //! # Determinism
 //!
 //! Phase A is pure per-core work; phase B drains each inbox in a
 //! canonical sorted order; the merge applies responses in the same order
-//! globally. No step depends on how cores or slices are partitioned over
-//! workers, so stats, latencies and final cache/directory state are
-//! **bit-identical for every `slice_threads` value** — 1, 2, 4 and 8
-//! produce the same run (`tests/determinism.rs`, `tests/golden_stats.rs`).
-//!
-//! [`SlicedOptions::pipeline`] overlaps the *next* epoch's top-up (main
-//! thread: streams and core buffers) with the *current* epoch's slice
-//! phase (workers: directory slices) — two disjoint sets of state, so the
-//! overlap cannot reorder anything. The only observable coupling is the
-//! access cap: top-up normally runs after the merge has retired the
-//! epoch's pending transactions, so the pipelined cap check counts each
-//! in-flight pending explicitly (`accesses + pending + buffered < cap`),
-//! which is exactly the post-merge arithmetic. Pipelined runs are
-//! therefore bit-identical to unpipelined runs (tested). The more
-//! aggressive overlap of phase A with the merge was rejected: the merge's
-//! write set (invalidation fan-out and eviction side effects into
-//! arbitrary cores' caches) is not computable before the merge runs, so
-//! phase A of the next epoch could race it — see DESIGN.md §10.
+//! globally. Stats, latencies and final cache/directory state therefore
+//! depend only on the streams, the cap and the epoch batch. The
+//! `slice_threads` argument no longer changes anything; the tests still
+//! run 1, 2, 4 and 8 and compare them (`tests/determinism.rs`,
+//! `tests/golden_stats.rs`).
 //!
 //! # Relation to the serial engine
 //!
 //! The epoch model is a slightly *relaxed* timing model: a cross-core
 //! effect (an invalidation, a downgrade) computed during an epoch lands at
-//! the epoch barrier, not between two individual accesses. The serial
+//! the epoch boundary, not between two individual accesses. The serial
 //! engine remains the reference implementation; a **single-core** run has
 //! no cross-core effects at all, and the sliced engine is bit-identical to
 //! the serial engine there (tested). Multi-core sliced runs are compared
 //! against their own committed golden snapshots instead.
 //!
 //! While a sliced run is in flight the machine is in *lenient* mode
-//! (`Machine::lenient`): a barrier-delayed invalidation may name a line
+//! (`Machine::lenient`): an epoch-delayed invalidation may name a line
 //! the holder already evicted (skipped silently), and an upgrade may be
 //! *overtaken* by a concurrent remote write, in which case the directory
 //! answers with a data source and the line is refilled instead.
 //!
 //! # Failure handling
 //!
-//! Worker and main-phase panics (e.g. the `check`-feature oracle firing
-//! under fault injection) are caught **once per worker loop**, not per
-//! phase: a panicking worker records the failure and falls into a drain
-//! loop that keeps honoring every barrier, so no thread deadlocks. The
-//! machine gets its parts back, and the first panic is re-raised on the
-//! calling thread once all workers have parked.
+//! Panics from streams or from the `check`-feature oracle (e.g. under
+//! fault injection) are caught once for the whole run. The machine gets
+//! its parts back, and the panic is re-raised on the caller.
 
 use std::any::Any;
-use std::collections::VecDeque;
-use std::hint;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-use std::thread::Thread;
 
 use secdir_coherence::{AccessKind, DirResponse, Moesi};
 use secdir_mem::{CoreId, LineAddr, SliceId};
@@ -124,137 +101,31 @@ use crate::machine::{
 use crate::stats::CoreStats;
 
 /// Default for [`SlicedOptions::epoch_batch`]. Large enough to amortize
-/// the four barrier crossings over many locally-retired hits, small
+/// the per-epoch routing and merge over many locally-retired hits, small
 /// enough that cross-core effects stay within a few hundred cycles of
 /// their serial delivery point.
 const EPOCH_BATCH: usize = 64;
 
-/// Tuning knobs for the slice-parallel engine
-/// ([`run_workload_sliced_with`]). Every setting is a pure throughput
-/// knob: for a fixed `epoch_batch`, results are bit-identical across
-/// every `slice_threads` value and both `pipeline` settings.
+/// Tuning knobs for the sliced epoch engine
+/// ([`run_workload_sliced_with`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SlicedOptions {
-    /// References buffered per core per epoch. Affects the epoch schedule
+    /// References pulled per core per epoch. Affects the epoch schedule
     /// (and can therefore affect when cross-core effects land) but never
     /// determinism; the default is [`EPOCH_BATCH`] = 64, the value the
     /// sliced golden snapshots pin.
     pub epoch_batch: usize,
-    /// Software pipelining: overlap the next epoch's stream top-up with
-    /// the current epoch's slice phase. Bit-identical to the unpipelined
-    /// schedule (see the module docs for the argument); ignored on the
-    /// inline single-threaded path, where there is nothing to overlap.
-    pub pipeline: bool,
 }
 
 impl Default for SlicedOptions {
     fn default() -> Self {
         SlicedOptions {
             epoch_batch: EPOCH_BATCH,
-            pipeline: false,
         }
     }
 }
 
-// The code between these region markers runs either on the main thread
-// between barrier crossings or inside the barrier itself — outside every
-// catch_unwind net. A panic here strands the other side of the barrier
-// (see the `barrier-panic` lint rule in secdir-verif).
-// lint: begin-region(barrier-worker)
-
-/// Locks a mutex, shrugging off poisoning: a worker that panicked has
-/// already recorded its failure, and the epoch loop unwinds through the
-/// same data to reassemble the machine before re-raising it.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A sense-reversing epoch barrier: `fetch_add` on arrival, release by
-/// bumping the generation word, bounded spin → yield → park while
-/// waiting. All of `std`, no per-crossing kernel round-trip on the happy
-/// path, and safe against lost wake-ups: a parked waiter always rechecks
-/// the generation, and a stale park token at most costs one extra loop.
-struct EpochBarrier {
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-    participants: usize,
-    /// Spin iterations before yielding; zero on oversubscribed hosts
-    /// where spinning would steal the timeslice the other side needs.
-    spin_limit: u32,
-    /// Participant thread handles for `unpark`, registered once before a
-    /// thread's first wait.
-    threads: Vec<OnceLock<Thread>>,
-}
-
-/// Yield-tier length between spinning and parking.
-const YIELD_LIMIT: u32 = 16;
-
-impl EpochBarrier {
-    fn new(participants: usize) -> Self {
-        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
-        let spin_limit = if cpus > participants { 4096 } else { 0 };
-        EpochBarrier {
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            participants,
-            spin_limit,
-            threads: (0..participants).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    /// Registers the calling thread as participant `id`. Must run on that
-    /// thread before its first [`EpochBarrier::wait`]; the release path
-    /// only unparks registered threads, and a thread that has arrived has
-    /// necessarily registered.
-    fn register(&self, id: usize) {
-        // Ids are enumerate() indices plus `workers` for the main thread,
-        // always < participants; `.get` keeps this total all the same — a
-        // panic during registration would strand the already-spinning side.
-        if let Some(slot) = self.threads.get(id) {
-            let _ = slot.set(std::thread::current());
-        }
-    }
-
-    fn wait(&self, id: usize) {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.participants {
-            // Last arriver: reset the count *before* publishing the new
-            // generation, so next-epoch arrivals (which happen-after the
-            // generation load below) see a clean counter.
-            // lint: allow(atomic-ordering): the Release store of `generation` below publishes this reset; every waiter Acquire-loads `generation` before its next-epoch `fetch_add`, so the reset happens-before all later arrivals
-            self.arrived.store(0, Ordering::Relaxed);
-            self.generation
-                .store(gen.wrapping_add(1), Ordering::Release);
-            for (i, slot) in self.threads.iter().enumerate() {
-                if i != id {
-                    if let Some(t) = slot.get() {
-                        t.unpark();
-                    }
-                }
-            }
-        } else {
-            let mut tries = 0u32;
-            while self.generation.load(Ordering::Acquire) == gen {
-                if tries < self.spin_limit {
-                    hint::spin_loop();
-                } else if tries < self.spin_limit + YIELD_LIMIT {
-                    std::thread::yield_now();
-                } else {
-                    // A wake-up between the generation check and this
-                    // park leaves a token that makes park return
-                    // immediately; the loop then rechecks the generation,
-                    // so a stale token cannot strand us.
-                    std::thread::park();
-                }
-                tries = tries.saturating_add(1);
-            }
-        }
-    }
-}
-
-// lint: end-region(barrier-worker)
-
-/// A core's directory transaction parked at the epoch barrier.
+/// A core's directory transaction parked until the epoch's merge.
 struct PendingTxn {
     /// The access that needs the directory.
     access: Access,
@@ -276,10 +147,6 @@ struct PendingTxn {
 struct CoreCell {
     caches: Option<PrivateCaches>,
     stats: Option<CoreStats>,
-    /// References pulled from the stream but not yet issued.
-    buffer: VecDeque<Access>,
-    /// The stream returned `None`; once `buffer` drains, the core is done.
-    exhausted: bool,
     /// The core's current cycle (the scheduler key of the serial engine).
     ready: u64,
     instructions: u64,
@@ -298,12 +165,10 @@ struct InboxEntry {
     kind: AccessKind,
 }
 
-/// Per-slice cell: the checked-out directory slice plus its epoch
-/// mailboxes.
+/// Per-slice cell: the checked-out directory slice plus its epoch inbox.
 struct SliceCell {
     slice: Option<SliceImpl>,
     inbox: Vec<InboxEntry>,
-    outbox: Vec<(usize, DirResponse)>,
 }
 
 /// Scratch vectors that carry parts between the cells and the machine on
@@ -330,7 +195,7 @@ struct RunState {
 
 /// Checks the machine's parts out into a fresh [`RunState`]; the single
 /// allocation site of the engine.
-fn new_run_state(machine: &mut Machine, epoch_batch: usize) -> RunState {
+fn new_run_state(machine: &mut Machine) -> RunState {
     let n = machine.num_cores();
     let (caches, stats, slices) = machine.take_parts();
     let cells: Vec<CoreCell> = caches
@@ -339,8 +204,6 @@ fn new_run_state(machine: &mut Machine, epoch_batch: usize) -> RunState {
         .map(|(caches, stats)| CoreCell {
             caches: Some(caches),
             stats: Some(stats),
-            buffer: VecDeque::with_capacity(epoch_batch),
-            exhausted: false,
             ready: 0,
             instructions: 0,
             accesses: 0,
@@ -353,7 +216,6 @@ fn new_run_state(machine: &mut Machine, epoch_batch: usize) -> RunState {
         .map(|slice| SliceCell {
             slice: Some(slice),
             inbox: Vec::with_capacity(n),
-            outbox: Vec::with_capacity(n),
         })
         .collect();
     RunState {
@@ -369,91 +231,21 @@ fn new_run_state(machine: &mut Machine, epoch_batch: usize) -> RunState {
     }
 }
 
-/// Per-worker hand-off slot. Cells move in and out as whole `Vec`s
-/// (header-sized moves); a worker holds the lock for its entire phase, so
-/// the mutexes see a handful of uncontended operations per epoch.
-struct Slot {
-    cores: Mutex<Vec<CoreCell>>,
-    slices: Mutex<Vec<SliceCell>>,
-}
-
-/// Builds the per-worker slots and the contiguous-chunk partition sizes
-/// (worker `w` owns cores and slices `[Σsizes[..w], Σsizes[..=w])`).
-/// Results do not depend on the partition, so any balanced split works.
-fn new_slots(n: usize, workers: usize) -> (Vec<Slot>, Vec<usize>) {
-    let base = n / workers;
-    let extra = n % workers;
-    let sizes: Vec<usize> = (0..workers)
-        .map(|w| base + usize::from(w < extra))
-        .collect();
-    let slots: Vec<Slot> = sizes
-        .iter()
-        .map(|&k| Slot {
-            cores: Mutex::new(Vec::with_capacity(k)),
-            slices: Mutex::new(Vec::with_capacity(k)),
-        })
-        .collect();
-    (slots, sizes)
-}
-
-// lint: region(barrier-worker)
-/// Moves the home cells into the worker slots, chunk by chunk.
-fn hand_out<T>(
-    home: &mut Vec<T>,
-    slots: &[Slot],
-    sizes: &[usize],
-    get: impl Fn(&Slot) -> &Mutex<Vec<T>>,
-) {
-    for (slot, &k) in slots.iter().zip(sizes) {
-        lock(get(slot)).extend(home.drain(..k));
-    }
-}
-
-// lint: region(barrier-worker)
-/// Moves every worker's cells back into the home vector, in worker (=
-/// core/slice) order.
-fn take_back<T>(home: &mut Vec<T>, slots: &[Slot], get: impl Fn(&Slot) -> &Mutex<Vec<T>>) {
-    for slot in slots {
-        home.append(&mut lock(get(slot)));
-    }
-}
-
-/// Pulls each unfinished core's stream into its buffer, never exceeding
-/// the per-core access cap in total pulls — exactly the serial engine's
-/// consumption, so streams can be shared warm-up → measure across
-/// engines. An unmerged pending transaction counts toward the cap (the
-/// merge will retire it), which makes the check correct both after the
-/// merge (pending is `None`) and, under pipelining, before it.
-fn top_up(
-    cells: &mut [CoreCell],
-    streams: &mut [Box<dyn AccessStream + '_>],
+/// Phase A: pulls up to `batch` references from one core's stream and
+/// retires its private-cache hits until the stream ends, the access cap
+/// is reached, or an access needs the directory — the exact L1/L2 probe
+/// sequence of [`Machine::access`], against the core's own shard. A
+/// reference is pulled only while the core is below its cap, and each
+/// pulled reference is retired (the parked one at the merge), so stream
+/// consumption is exactly the serial engine's and streams can be shared
+/// warm-up → measure across engines.
+fn run_core_epoch(
+    cell: &mut CoreCell,
+    stream: &mut (dyn AccessStream + '_),
+    lat: Latencies,
     cap: u64,
     batch: usize,
 ) {
-    for (i, cell) in cells.iter_mut().enumerate() {
-        if cell.finished.is_some() || cell.exhausted {
-            continue;
-        }
-        let in_flight = u64::from(cell.pending.is_some());
-        while cell.buffer.len() < batch
-            && cell.accesses + in_flight + (cell.buffer.len() as u64) < cap
-        {
-            match streams[i].next_access() {
-                Some(acc) => cell.buffer.push_back(acc),
-                None => {
-                    cell.exhausted = true;
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// Phase A: retires private-cache hits for one core until its buffer runs
-/// dry, the access cap is reached, or an access needs the directory — the
-/// exact L1/L2 probe sequence of [`Machine::access`], against the core's
-/// own shard.
-fn run_core_epoch(cell: &mut CoreCell, lat: Latencies, cap: u64) {
     if cell.finished.is_some() {
         return;
     }
@@ -469,17 +261,20 @@ fn run_core_epoch(cell: &mut CoreCell, lat: Latencies, cap: u64) {
         Some(s) => s,
         None => unreachable!("core part checked out"),
     };
+    let mut pulled = 0;
     loop {
         if cell.accesses >= cap {
             cell.finished = Some(cell.ready);
             return;
         }
-        let Some(acc) = cell.buffer.pop_front() else {
-            if cell.exhausted {
-                cell.finished = Some(cell.ready);
-            }
+        if pulled == batch {
+            return;
+        }
+        let Some(acc) = stream.next_access() else {
+            cell.finished = Some(cell.ready);
             return;
         };
+        pulled += 1;
         stats.accesses += 1;
         if acc.write {
             stats.writes += 1;
@@ -562,17 +357,15 @@ fn run_core_epoch(cell: &mut CoreCell, lat: Latencies, cap: u64) {
     }
 }
 
-// lint: region(barrier-worker)
-/// Routes every pending transaction to its home slice's inbox. Runs on
-/// the main thread while both cell kinds are home; only `slice_of` (the
-/// hash, never the checked-out parts) is consulted on the machine.
+/// Routes every pending transaction to its home slice's inbox. Only
+/// `slice_of` (the hash, never the checked-out parts) is consulted on the
+/// machine.
 fn route(machine: &Machine, cells: &mut [CoreCell], scells: &mut [SliceCell]) {
     for (i, cell) in cells.iter_mut().enumerate() {
         let ready = cell.ready;
         if let Some(txn) = cell.pending.as_mut() {
             let slice = machine.slice_of(txn.access.line);
             txn.slice = slice;
-            // lint: allow(barrier-panic): Machine::slice_of maps every line to a SliceId below the slice count, and scells holds one cell per slice by construction
             scells[slice.0].inbox.push(InboxEntry {
                 ready,
                 core: i,
@@ -585,33 +378,20 @@ fn route(machine: &Machine, cells: &mut [CoreCell], scells: &mut [SliceCell]) {
 
 /// Phase B: drains one slice's inbox in the canonical `(ready, core)`
 /// order — the serial scheduler's key, and unique because each core parks
-/// at most one transaction — performing the directory requests.
-fn drain_slice(scell: &mut SliceCell) {
+/// at most one transaction — performing the directory requests and
+/// filing each response in the per-core table.
+fn drain_slice(scell: &mut SliceCell, responses: &mut [Option<DirResponse>]) {
     scell.inbox.sort_unstable_by_key(|e| (e.ready, e.core));
     let slice = match scell.slice.as_mut() {
         Some(s) => s,
         None => unreachable!("slice part checked out"),
     };
     for e in scell.inbox.drain(..) {
-        let resp = slice.as_dir().request(e.line, CoreId(e.core), e.kind);
-        scell.outbox.push((e.core, resp));
-    }
-}
-
-// lint: region(barrier-worker)
-/// Gathers phase B's responses into a per-core table (each core parked at
-/// most one transaction, so slots never collide).
-fn collect_responses(scells: &mut [SliceCell], responses: &mut [Option<DirResponse>]) {
-    for scell in scells.iter_mut() {
-        for (core, resp) in scell.outbox.drain(..) {
-            // lint: allow(barrier-panic): debug-only guard for a structural invariant — each core parks at most one transaction per epoch, so the slot is always empty; kept deliberately because a violation means the response table is already corrupt and a loud debug failure beats silent corruption
-            debug_assert!(
-                responses[core].is_none(),
-                "two responses for one core in an epoch"
-            );
-            // lint: allow(barrier-panic): `core` is an enumerate() index from route(), always < the core count that sized `responses`
-            responses[core] = Some(resp);
-        }
+        debug_assert!(
+            responses[e.core].is_none(),
+            "two responses for one core in an epoch"
+        );
+        responses[e.core] = Some(slice.as_dir().request(e.line, CoreId(e.core), e.kind));
     }
 }
 
@@ -842,7 +622,6 @@ fn merge_hooked(
     take_parts_from_machine(machine, cells, scells, shuttle);
 }
 
-// lint: region(barrier-worker)
 fn all_finished(cells: &[CoreCell]) -> bool {
     cells.iter().all(|cell| cell.finished.is_some())
 }
@@ -860,194 +639,34 @@ fn summary(cells: &[CoreCell]) -> RunSummary {
     RunSummary { cores, cycles }
 }
 
-// lint: region(barrier-worker)
-/// Records the first failure; later ones (usually cascades of the first)
-/// are dropped.
-fn record_failure(failure: &Mutex<Option<Box<dyn Any + Send>>>, p: Box<dyn Any + Send>) {
-    let mut slot = lock(failure);
-    if slot.is_none() {
-        *slot = Some(p);
-    }
-}
-
-/// The epoch loop without threads: same steps, same order, no barriers,
-/// no hand-off slots, and a single `catch_unwind` for the whole run.
-/// Structurally identical to one worker draining every partition, which
-/// is why `slice_threads = 1` is bit-identical to every other thread
-/// count.
-fn run_inline(
+/// The epoch loop: phase A, routing, phase B and merge until
+/// every core has finished, under a single `catch_unwind` for the whole
+/// run. Returns the panic payload, if any, so the caller can restore the
+/// machine before re-raising it.
+fn run_epochs(
     machine: &mut Machine,
     streams: &mut [Box<dyn AccessStream + '_>],
     cap: u64,
     state: &mut RunState,
-    opts: SlicedOptions,
-    lat: Latencies,
+    epoch_batch: usize,
     hooks: bool,
 ) -> Option<Box<dyn Any + Send>> {
+    let lat = machine.config().latencies;
     let mut total_retired = 0u64;
     catch_unwind(AssertUnwindSafe(|| loop {
-        top_up(&mut state.cells, streams, cap, opts.epoch_batch);
         if all_finished(&state.cells) {
             return;
         }
-        for cell in state.cells.iter_mut() {
-            run_core_epoch(cell, lat, cap);
+        for (cell, stream) in state.cells.iter_mut().zip(streams.iter_mut()) {
+            run_core_epoch(cell, stream.as_mut(), lat, cap, epoch_batch);
         }
         route(machine, &mut state.cells, &mut state.scells);
         for scell in state.scells.iter_mut() {
-            drain_slice(scell);
+            drain_slice(scell, &mut state.responses);
         }
-        collect_responses(&mut state.scells, &mut state.responses);
         merge(machine, state, &mut total_retired, hooks);
     }))
     .err()
-}
-
-// lint: region(barrier-worker)
-/// One worker's epoch loop: phase A over its core chunk, phase B over its
-/// slice chunk, four barrier crossings per epoch. Returns when the main
-/// thread raises `done` at an epoch-start crossing. Panics inside the
-/// loop are caught by the spawning closure's `catch_unwind`, but keeping
-/// the loop itself panic-free (the region rule) means the drain protocol
-/// is a second line of defense, not the first.
-fn worker_loop(
-    slot: &Slot,
-    barrier: &EpochBarrier,
-    w: usize,
-    done: &AtomicBool,
-    lat: Latencies,
-    cap: u64,
-) {
-    loop {
-        barrier.wait(w); // (1) epoch start
-        if done.load(Ordering::Acquire) {
-            return;
-        }
-        {
-            let mut cells = lock(&slot.cores);
-            for cell in cells.iter_mut() {
-                run_core_epoch(cell, lat, cap);
-            }
-        }
-        barrier.wait(w); // (2) phase A done
-        barrier.wait(w); // (3) routing done
-        {
-            let mut scells = lock(&slot.slices);
-            for scell in scells.iter_mut() {
-                drain_slice(scell);
-            }
-        }
-        barrier.wait(w); // (4) phase B done
-    }
-}
-
-/// The epoch loop with `workers` persistent scoped threads. Worker `w`
-/// owns a contiguous chunk of cores and slices, handed to it through its
-/// slot; the main thread runs top-up, routing, and the merge between
-/// barrier crossings. A panic anywhere is caught once, recorded, and the
-/// panicking worker falls into a drain loop that keeps every barrier
-/// honored until the main thread announces shutdown — so the protocol
-/// drains instead of deadlocking. Main-thread work that may panic (stream
-/// top-up, the merge) runs under its own `catch_unwind`; everything else
-/// between barrier crossings must be panic-free, which the region
-/// annotation makes the lint gate enforce.
-// lint: region(barrier-worker)
-#[allow(clippy::too_many_arguments)]
-fn run_threaded(
-    machine: &mut Machine,
-    streams: &mut [Box<dyn AccessStream + '_>],
-    cap: u64,
-    workers: usize,
-    state: &mut RunState,
-    opts: SlicedOptions,
-    lat: Latencies,
-    hooks: bool,
-) -> Option<Box<dyn Any + Send>> {
-    let n = state.cells.len();
-    let (slots, sizes) = new_slots(n, workers);
-    let barrier = EpochBarrier::new(workers + 1);
-    let done = AtomicBool::new(false);
-    let failure: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-    let mut total_retired = 0u64;
-    std::thread::scope(|scope| {
-        for (w, slot) in slots.iter().enumerate() {
-            let barrier = &barrier;
-            let done = &done;
-            let failure = &failure;
-            scope.spawn(move || {
-                barrier.register(w);
-                if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-                    worker_loop(slot, barrier, w, done, lat, cap);
-                })) {
-                    record_failure(failure, p);
-                    loop {
-                        barrier.wait(w);
-                        if done.load(Ordering::Acquire) {
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-        let main_id = workers;
-        barrier.register(main_id);
-        // Under pipelining the next epoch's top-up already ran during this
-        // epoch's phase B; `topped_up` skips the loop-top one.
-        let mut topped_up = false;
-        loop {
-            if lock(&failure).is_some() {
-                done.store(true, Ordering::Release);
-                barrier.wait(main_id); // release workers at (1); they see `done`
-                break;
-            }
-            if !topped_up {
-                if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-                    top_up(&mut state.cells, streams, cap, opts.epoch_batch);
-                })) {
-                    record_failure(&failure, p);
-                    continue; // exits through the failure branch above
-                }
-            }
-            topped_up = false;
-            if all_finished(&state.cells) {
-                done.store(true, Ordering::Release);
-                barrier.wait(main_id);
-                break;
-            }
-            hand_out(&mut state.cells, &slots, &sizes, |s| &s.cores);
-            barrier.wait(main_id); // (1)
-            barrier.wait(main_id); // (2) — workers ran phase A in between
-            take_back(&mut state.cells, &slots, |s| &s.cores);
-            route(machine, &mut state.cells, &mut state.scells);
-            hand_out(&mut state.scells, &slots, &sizes, |s| &s.slices);
-            barrier.wait(main_id); // (3)
-            if opts.pipeline {
-                // Overlap the next epoch's top-up with phase B: the
-                // workers only touch slice cells between (3) and (4),
-                // while top-up touches streams and core cells — disjoint
-                // state, so this is pure overlap (see the module docs).
-                match catch_unwind(AssertUnwindSafe(|| {
-                    top_up(&mut state.cells, streams, cap, opts.epoch_batch);
-                })) {
-                    Ok(()) => topped_up = true,
-                    Err(p) => record_failure(&failure, p), // still reach (4)
-                }
-            }
-            barrier.wait(main_id); // (4) — workers ran phase B in between
-            take_back(&mut state.scells, &slots, |s| &s.slices);
-            if lock(&failure).is_some() {
-                continue; // skip merging half-built state; exit at loop top
-            }
-            collect_responses(&mut state.scells, &mut state.responses);
-            if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-                merge(machine, state, &mut total_retired, hooks);
-            })) {
-                record_failure(&failure, p);
-            }
-        }
-    });
-    let first = lock(&failure).take();
-    first
 }
 
 /// Returns the machine's parts at run end. If a hook-epoch panic left
@@ -1065,16 +684,13 @@ fn restore_at_end(machine: &mut Machine, state: &mut RunState) {
     );
 }
 
-/// Runs one stream per core under the slice-parallel epoch engine with
-/// `slice_threads` workers and default [`SlicedOptions`], until every
-/// stream is exhausted or a core has issued `max_accesses_per_core`
-/// references during this call.
+/// Runs one stream per core under the sliced epoch engine with default
+/// [`SlicedOptions`], until every stream is exhausted or a core has
+/// issued `max_accesses_per_core` references during this call.
 ///
-/// Results are **bit-identical for every `slice_threads` value** — see
-/// the module docs for why — so the thread count is purely a throughput
-/// knob. `slice_threads = 1` runs the epoch loop inline without spawning;
-/// thread counts above the core count are clamped (extra workers would
-/// own empty partitions).
+/// `slice_threads` must be at least 1 and otherwise no longer changes
+/// results or speed: the epoch loop always runs on the calling thread
+/// (see the module docs for why).
 ///
 /// Stream consumption matches [`run_workload`](crate::run_workload)
 /// exactly, so the warm-up-then-measure pattern works unchanged. The
@@ -1120,34 +736,18 @@ pub fn run_workload_sliced_with(
         machine.num_cores(),
         "one stream per core required"
     );
-    let n = machine.num_cores();
-    let lat = machine.config().latencies;
     let hooks = machine.fault.is_some() || cfg!(feature = "check");
-    let mut state = new_run_state(machine, options.epoch_batch);
+    let mut state = new_run_state(machine);
 
     machine.lenient = true;
-    let failure = if slice_threads == 1 {
-        run_inline(
-            machine,
-            streams,
-            max_accesses_per_core,
-            &mut state,
-            options,
-            lat,
-            hooks,
-        )
-    } else {
-        run_threaded(
-            machine,
-            streams,
-            max_accesses_per_core,
-            slice_threads.min(n).max(1),
-            &mut state,
-            options,
-            lat,
-            hooks,
-        )
-    };
+    let failure = run_epochs(
+        machine,
+        streams,
+        max_accesses_per_core,
+        &mut state,
+        options.epoch_batch,
+        hooks,
+    );
     machine.lenient = false;
     restore_at_end(machine, &mut state);
     if let Some(p) = failure {
@@ -1206,9 +806,9 @@ mod tests {
         }
     }
 
-    /// The tuning knobs must not change a single counter: every
-    /// `epoch_batch` in the perf sweep set and both `pipeline` settings
-    /// reproduce the default run bit for bit, at 1 and 4 threads.
+    /// The epoch batch must not change a single counter: every value in
+    /// the perf sweep set reproduces the default run bit for bit, at 1
+    /// and 4 threads.
     #[test]
     fn options_are_bit_identical_to_the_default_run() {
         let run = |threads: usize, options: SlicedOptions| {
@@ -1218,19 +818,13 @@ mod tests {
             (sum, m.stats().clone())
         };
         let reference = run(1, SlicedOptions::default());
-        for batch in [32, 64, 128, 256, 512] {
-            for pipeline in [false, true] {
-                for threads in [1, 4] {
-                    let options = SlicedOptions {
-                        epoch_batch: batch,
-                        pipeline,
-                    };
-                    assert_eq!(
-                        run(threads, options),
-                        reference,
-                        "batch {batch}, pipeline {pipeline}, {threads} threads"
-                    );
-                }
+        for epoch_batch in [32, 64, 128, 256, 512] {
+            for threads in [1, 4] {
+                assert_eq!(
+                    run(threads, SlicedOptions { epoch_batch }),
+                    reference,
+                    "batch {epoch_batch}, {threads} threads"
+                );
             }
         }
     }
@@ -1279,27 +873,6 @@ mod tests {
         );
     }
 
-    /// Pipelined top-up consumes streams exactly like the unpipelined
-    /// schedule across a warm-up/measure split — the cap check with an
-    /// in-flight pending is the subtle part of the overlap.
-    #[test]
-    fn pipelined_warmup_then_measure_consumes_streams_identically() {
-        let options = SlicedOptions {
-            pipeline: true,
-            ..SlicedOptions::default()
-        };
-        let mut plain = Machine::new(MachineConfig::small(4, DirectoryKind::SecDir));
-        let mut s = streams(4, 5000);
-        let w0 = run_workload_sliced(&mut plain, &mut s, 1000, 2);
-        let m0 = run_workload_sliced(&mut plain, &mut s, 2000, 2);
-        let mut piped = Machine::new(MachineConfig::small(4, DirectoryKind::SecDir));
-        let mut p = streams(4, 5000);
-        let w1 = run_workload_sliced_with(&mut piped, &mut p, 1000, 2, options);
-        let m1 = run_workload_sliced_with(&mut piped, &mut p, 2000, 2, options);
-        assert_eq!((w0, m0), (w1, m1));
-        assert_eq!(plain.stats(), piped.stats());
-    }
-
     #[test]
     fn zero_cap_finishes_immediately() {
         let mut m = Machine::new(MachineConfig::small(2, DirectoryKind::Baseline));
@@ -1334,20 +907,14 @@ mod tests {
     #[should_panic(expected = "epoch_batch must be at least 1")]
     fn zero_epoch_batch_is_rejected() {
         let mut m = Machine::new(MachineConfig::small(2, DirectoryKind::Baseline));
-        let options = SlicedOptions {
-            epoch_batch: 0,
-            pipeline: false,
-        };
+        let options = SlicedOptions { epoch_batch: 0 };
         run_workload_sliced_with(&mut m, &mut streams(2, 10), 10, 2, options);
     }
 
-    /// A panicking stream must unwind cleanly out of the threaded engine —
-    /// no deadlocked barrier, no poisoned worker left behind. (The test
-    /// completing at all is the deadlock check.) Runs both with and
-    /// without pipelining: the pipelined top-up panics between barrier
-    /// crossings (3) and (4), the unpipelined one outside the epoch.
+    /// A panicking stream propagates to the caller, and the machine gets
+    /// its parts back first.
     #[test]
-    fn stream_panic_unwinds_without_deadlock() {
+    fn stream_panic_propagates_to_the_caller() {
         struct Bomb(u32);
         impl AccessStream for Bomb {
             fn next_access(&mut self) -> Option<Access> {
@@ -1356,20 +923,12 @@ mod tests {
                 Some(Access::read(LineAddr::new(u64::from(self.0))))
             }
         }
-        for pipeline in [false, true] {
-            let options = SlicedOptions {
-                pipeline,
-                ..SlicedOptions::default()
-            };
-            let mut m = Machine::new(MachineConfig::small(2, DirectoryKind::SecDir));
-            let mut s: Vec<Box<dyn AccessStream>> = vec![Box::new(Bomb(0)), stream(1, 500, 64)];
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                run_workload_sliced_with(&mut m, &mut s, u64::MAX, 2, options)
-            }));
-            assert!(
-                result.is_err(),
-                "the bomb must propagate (pipeline {pipeline})"
-            );
-        }
+        let mut m = Machine::new(MachineConfig::small(2, DirectoryKind::SecDir));
+        let mut s: Vec<Box<dyn AccessStream>> = vec![Box::new(Bomb(0)), stream(1, 500, 64)];
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run_workload_sliced(&mut m, &mut s, u64::MAX, 2)
+        }));
+        assert!(result.is_err(), "the bomb must propagate");
+        assert!(!m.cores.is_empty(), "parts restored before re-raising");
     }
 }

@@ -1,7 +1,7 @@
 //! Machine-level statistics.
 //!
 //! Every counter here is part of the determinism contract: serial reruns,
-//! sweep fan-out, and the slice-parallel engine (`crate::sliced`) must all
+//! sweep fan-out, and the sliced epoch engine (`crate::sliced`) must all
 //! reproduce these structures bit for bit, and the golden-stats suite
 //! (`tests/golden_stats.rs`) pins the full serialized form per directory
 //! kind for both engines.

@@ -1,15 +1,13 @@
 //! `barrier-panic`: no panic paths inside `barrier-worker` regions.
 //!
-//! The sliced engine's epoch barrier is a sense-reversing user-space
-//! barrier: every participant must reach `wait()` or everyone else
-//! spins/parks forever. Worker-side panics are contained by the
-//! `catch_unwind` drain protocol, but code that runs *between* barrier
-//! crossings on the main thread — routing, hand-out/take-back, response
-//! collection — and the barrier internals themselves have no such net: a
-//! panic there deadlocks the scoped join. Those functions are marked
-//! with `lint: region(barrier-worker)` / `begin-region` annotations (see
-//! [`crate::analysis::scope`]), and inside them this rule flags every
-//! potential panic site:
+//! A barrier rendezvous (serve's per-tick worker pool meets the main
+//! thread at two `std::sync::Barrier`s) needs every participant to reach
+//! `wait()`, or everyone else blocks forever. Panics in the work between
+//! crossings are contained by `catch_unwind`, but the loop that does the
+//! crossings has no such net: a panic there deadlocks the scoped join.
+//! Such loops are marked with `lint: region(barrier-worker)` /
+//! `begin-region` annotations (see [`crate::analysis::scope`]), and
+//! inside them this rule flags every potential panic site:
 //!
 //! * **error**: `.unwrap()`, `.expect(…)`, `assert!`/`assert_eq!`/
 //!   `assert_ne!`, `panic!`, `unreachable!`, `todo!`, `unimplemented!`,
@@ -60,7 +58,7 @@ pub fn barrier_panic(ctx: &Ctx<'_>, em: &mut Emitter) {
                 t,
                 format!(
                     "`{}!` inside a barrier-worker region panics in debug builds and \
-                     deadlocks the epoch barrier; keep or waive with the invariant argument",
+                     deadlocks the barrier rendezvous; keep or waive with the invariant argument",
                     ctx.text(i)
                 ),
             );
@@ -85,7 +83,7 @@ pub fn barrier_panic(ctx: &Ctx<'_>, em: &mut Emitter) {
                 t,
                 format!(
                     "`{token}` inside a barrier-worker region; a panic here deadlocks the \
-                     epoch barrier — propagate the error through the drain protocol"
+                     barrier rendezvous — contain it with `catch_unwind` or return the error"
                 ),
             );
             continue;
@@ -100,7 +98,7 @@ pub fn barrier_panic(ctx: &Ctx<'_>, em: &mut Emitter) {
                 t,
                 format!(
                     "`{}!` inside a barrier-worker region; a panic here deadlocks the \
-                     epoch barrier",
+                     barrier rendezvous",
                     ctx.text(i)
                 ),
             );
@@ -120,7 +118,7 @@ pub fn barrier_panic(ctx: &Ctx<'_>, em: &mut Emitter) {
                     Severity::Error,
                     t,
                     "indexing inside a barrier-worker region can panic out-of-bounds and \
-                     deadlock the epoch barrier; use `.get()` or waive with the bounds \
+                     deadlock the barrier rendezvous; use `.get()` or waive with the bounds \
                      argument"
                         .to_string(),
                 );

@@ -117,3 +117,34 @@ fn an_introduced_violation_fails_with_file_and_line() {
 
     fs::remove_dir_all(&scratch).ok();
 }
+
+#[test]
+fn barrier_panic_guards_the_serve_worker_region() {
+    // serve's per-tick worker loop is the one `barrier-worker` region left
+    // in the tree. The marker must still be there, and a panic path
+    // planted inside the loop must be reported on its line.
+    use secdir_verif::analysis::{analyze_source, classify};
+    let rel = "crates/machine/src/serve/mod.rs";
+    let src = fs::read_to_string(workspace_root().join(rel)).expect("read serve/mod.rs");
+    let barrier = |src: &str| -> Vec<u32> {
+        analyze_source(Path::new(rel), src, classify(rel))
+            .into_iter()
+            .filter(|d| d.rule == "barrier-panic")
+            .map(|d| d.line)
+            .collect()
+    };
+    assert!(barrier(&src).is_empty(), "serve's region must lint clean");
+
+    let marker = "// lint: region(barrier-worker)\nfn worker_loop(";
+    let at = src
+        .find(marker)
+        .expect("serve's worker loop carries the barrier-worker region");
+    let body = at + src[at..].find("{\n").expect("worker_loop has a body") + 2;
+    let planted = format!(
+        "{}    let _ = run.tenants[0];\n{}",
+        &src[..body],
+        &src[body..]
+    );
+    let line = src[..body].lines().count() as u32 + 1;
+    assert_eq!(barrier(&planted), vec![line]);
+}

@@ -15,8 +15,7 @@
 //!                    [--journal FILE] [--resume] [--workers N]
 //!                    [--inject] [--out FILE] [--bench FILE] [...]
 //! secdir-sim perf    [--quick] [--directories LIST] [--workload NAME]
-//!                    [--threads N] [--slice-threads LIST]
-//!                    [--epoch-batch LIST] [--pipeline] [--out FILE]
+//!                    [--threads N] [--epoch-batch LIST] [--out FILE]
 //! secdir-sim inject  [--directories LIST] [--faults LIST] [--trigger N]
 //!                    [--out FILE]
 //! secdir-sim verif   [--kinds LIST] [--cores N] [--lines N] [--l2 N]
@@ -186,10 +185,10 @@ fn cmd_attack(args: &[String]) -> Result<(), String> {
 /// asking for `refs` again would measure a window as long as warm-up plus
 /// measurement combined.
 ///
-/// With `slice_threads: Some(n)` both phases run on the epoch-synchronized
-/// sliced engine instead of the serial one (even for `n = 1`), so CI can
-/// `cmp` the stdout of a 1-thread and a 4-thread run byte for byte; the
-/// report deliberately never prints the thread count.
+/// With `slice_threads: Some(n)` both phases run on the sliced epoch
+/// engine instead of the serial one, whatever `n` is; the report never
+/// prints `n`, so CI can `cmp` the stdout of a 1-thread and a 4-thread
+/// run byte for byte.
 fn run_streams_report(
     kind: DirectoryKind,
     mut streams: Vec<Box<dyn AccessStream>>,
@@ -240,10 +239,9 @@ usage: secdir-sim spec --mix NAME [--directory KIND] [--refs N] [--seed N]
   --refs           references per core, half warm-up half measured
                    (default 200000)
   --seed           workload seed (default 24301)
-  --slice-threads  run on the epoch-synchronized sliced engine with N
-                   worker threads (N >= 1; even N=1 selects the sliced
-                   engine). Output is bit-identical for every N; the
-                   default is the serial reference engine.";
+  --slice-threads  run on the sliced epoch engine instead of the serial
+                   reference engine (N >= 1). The engine runs on one
+                   thread; N no longer changes output or speed.";
 
 fn cmd_spec(args: &[String]) -> Result<(), String> {
     let Some(flags) = parse_flags(
@@ -1195,8 +1193,7 @@ fn cmd_inject(args: &[String]) -> Result<(), String> {
 const PERF_USAGE: &str = "\
 usage: secdir-sim perf [--quick] [--directories LIST] [--workload NAME]
                        [--cores N] [--warmup N] [--measure N] [--reps N]
-                       [--cells N] [--threads N] [--slice-threads LIST]
-                       [--epoch-batch LIST] [--pipeline]
+                       [--cells N] [--threads N] [--epoch-batch LIST]
                        [--seed N] [--out FILE]
   --quick          CI-sized smoke run (~10x fewer references)
   --directories    comma list of kinds (default: all seven)
@@ -1210,30 +1207,20 @@ usage: secdir-sim perf [--quick] [--directories LIST] [--workload NAME]
   --cells          sweep-phase cells, seeded seed..seed+N; must be >= 1
                    (default 8)
   --threads        sweep-phase worker threads, >= 1 (default: all CPUs)
-  --slice-threads  comma list of sliced-engine worker-thread counts, each
-                   >= 1 (default 1,2,4,8; quick: 4); one mode:\"sliced\"
-                   sample per (thread count, epoch batch) pair
   --epoch-batch    comma list of sliced-engine epoch batch sizes, each
-                   >= 1 (default 64); tuning only — results are
-                   bit-identical for every value
-  --pipeline       overlap the next epoch's top-up with the current
-                   epoch's slice phase in the sliced samples (tuning
-                   only, bit-identical either way)
+                   >= 1 (default 64); one mode:\"sliced\" sample per
+                   value; tuning only — results are bit-identical for
+                   every value
   --seed           base workload seed (default 0x5eed as 24301)
   --out            JSONL output file (default BENCH_throughput.json)
 Measures engine throughput (accesses/sec) per directory kind — serial,
-slice-parallel, and sweep-parallel — and writes one JSON object per
-sample (schema secdir-bench-throughput/3); errors if any sample measures
+sliced, and sweep-parallel — and writes one JSON object per sample
+(schema secdir-bench-throughput/4); errors if any sample measures
 zero accesses/sec.";
 
 fn cmd_perf(args: &[String]) -> Result<(), String> {
     let quick = args.iter().any(|a| a == "--quick");
-    let pipeline = args.iter().any(|a| a == "--pipeline");
-    let rest: Vec<String> = args
-        .iter()
-        .filter(|a| *a != "--quick" && *a != "--pipeline")
-        .cloned()
-        .collect();
+    let rest: Vec<String> = args.iter().filter(|a| *a != "--quick").cloned().collect();
     let Some(flags) = parse_flags(
         &rest,
         &[
@@ -1245,7 +1232,6 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
             "reps",
             "cells",
             "threads",
-            "slice-threads",
             "epoch-batch",
             "seed",
             "out",
@@ -1283,22 +1269,6 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
     spec.serial_reps = get_positive(&flags, "reps", spec.serial_reps)?;
     spec.sweep_cells = get_positive(&flags, "cells", spec.sweep_cells)?;
     spec.threads = get_positive(&flags, "threads", spec.threads)?;
-    if let Some(list) = flags.get("slice-threads") {
-        let counts = split_list(list)
-            .iter()
-            .map(|s| {
-                s.parse()
-                    .map_err(|_| format!("invalid value in --slice-threads: `{s}`"))
-            })
-            .collect::<Result<Vec<usize>, _>>()?;
-        if counts.is_empty() {
-            return Err("--slice-threads needs at least one thread count".into());
-        }
-        if counts.contains(&0) {
-            return Err("--slice-threads entries must be at least 1, got 0".into());
-        }
-        spec.slice_threads = counts;
-    }
     if let Some(list) = flags.get("epoch-batch") {
         let batches = split_list(list)
             .iter()
@@ -1315,7 +1285,6 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
         }
         spec.epoch_batches = batches;
     }
-    spec.pipeline = pipeline;
     spec.seed = get_parsed(&flags, "seed", spec.seed)?;
     let out_path = flags
         .get("out")

@@ -198,10 +198,9 @@ fn every_directory_kind_matches_its_snapshot() {
 /// The sliced engine pinned by snapshot: the fixed streamed workload runs
 /// at 1 and 4 slice threads, both must serialize to the committed
 /// `sliced-<kind>.json` byte for byte, and a tuned run (non-default
-/// epoch batch, pipelining on) must reproduce the *same* snapshot — the
-/// tuning knobs are throughput-only. One test covers the engine's counter
-/// stability, its cross-thread-count bit-identity, and its
-/// options-invariance.
+/// epoch batch) must reproduce the *same* snapshot — the epoch batch is
+/// throughput-only. One test covers the engine's counter stability, its
+/// cross-thread-count bit-identity, and its options-invariance.
 #[test]
 fn every_directory_kind_matches_its_sliced_snapshot() {
     let update = std::env::var_os("UPDATE_GOLDEN").is_some();
@@ -215,15 +214,11 @@ fn every_directory_kind_matches_its_sliced_snapshot() {
             "{}: sliced stats differ between 1 and 4 threads",
             kind.name()
         );
-        let tuned = SlicedOptions {
-            epoch_batch: 256,
-            pipeline: true,
-        };
-        let tuned_run = to_json(&run_sliced(kind, 2, tuned));
+        let tuned_run = to_json(&run_sliced(kind, 2, SlicedOptions { epoch_batch: 256 }));
         assert_eq!(
             actual,
             tuned_run,
-            "{}: sliced stats differ under epoch_batch=256 + pipelining",
+            "{}: sliced stats differ under epoch_batch=256",
             kind.name()
         );
         let path = sliced_snapshot_path(kind);
