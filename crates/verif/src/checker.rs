@@ -36,6 +36,7 @@
 //! bug worth a counterexample trace, not a silent exploration end.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -153,7 +154,7 @@ fn check_with(
     let init_key = pack(&ModelState::initial());
     let mut states: Vec<u128> = vec![init_key];
     let mut parents: Vec<ParentRec> = vec![ParentRec::root()];
-    let mut seen: HashSet<u128> = HashSet::new();
+    let mut seen = KeySet::default();
     seen.insert(init_key);
 
     let mut transitions = 0usize;
@@ -216,11 +217,57 @@ const SHARDS: usize = 64;
 /// makes discovery order independent of which worker ran which chunk.
 const CHUNK: usize = 256;
 
+/// The 64-bit golden-ratio constant, used to fold a packed key's two
+/// halves into one word.
+const PHI: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Folds a packed key into 64 bits (not injective; both the shard index
+/// and the visited-set hash mix this further).
+#[inline]
+fn fold(key: u128) -> u64 {
+    (key as u64) ^ ((key >> 64) as u64).wrapping_mul(PHI)
+}
+
 #[inline]
 fn shard_of(key: u128) -> usize {
-    let mixed = (key as u64) ^ ((key >> 64) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    (mixed.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 58) as usize
+    (fold(key).wrapping_mul(0x2545_f491_4f6c_dd1d) >> 58) as usize
 }
+
+/// Visited-set hasher for packed `u128` keys: the splitmix64 finalizer
+/// over [`fold`]. The keys are the checker's own states, so the DoS
+/// resistance of the default SipHash buys nothing, and its cost is
+/// measurable per transition. The finalizer spreads the key over every
+/// output bit, so the top bits the hash table takes its control bytes
+/// from stay independent of the [`shard_of`] bits, which are equal
+/// across one shard.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write_u128(&mut self, key: u128) {
+        let mut z = fold(key).wrapping_add(PHI);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.0 = z ^ (z >> 31);
+    }
+
+    /// Only `write_u128` is reached for the checker's keys; this byte-wise
+    /// FNV-1a fold keeps the hasher total for any other input.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A visited set of packed states.
+type KeySet = HashSet<u128, BuildHasherDefault<KeyHasher>>;
 
 /// A successor candidate produced by an expansion chunk.
 #[derive(Clone, Copy)]
@@ -285,7 +332,7 @@ pub fn check_opt_with_states(cfg: ModelConfig, opts: &CheckOptions) -> (CheckRep
     };
     let mut states: Vec<u128> = vec![init_key];
     let mut parents: Vec<ParentRec> = vec![ParentRec::root()];
-    let mut shards: Vec<HashSet<u128>> = (0..SHARDS).map(|_| HashSet::new()).collect();
+    let mut shards: Vec<KeySet> = (0..SHARDS).map(|_| KeySet::default()).collect();
     shards[shard_of(init_key)].insert(init_key);
 
     let mut transitions = 0usize;
@@ -365,21 +412,23 @@ pub fn check_opt_with_states(cfg: ModelConfig, opts: &CheckOptions) -> (CheckRep
 
 /// Expands frontier `[lo, hi)` of `states` into per-chunk buffers, in
 /// chunk order. Claims chunks through an atomic counter when `threads >
-/// 1`; the visited shards are only *read* here (membership pre-filter),
-/// never written, so workers share them without locks.
+/// 1` and the level has more than one chunk; the visited shards are only
+/// *read* here (membership pre-filter), never written, so workers share
+/// them without locks. Each worker reuses one successor buffer across
+/// its chunks.
 #[allow(clippy::too_many_arguments)]
 fn expand_level(
     model: &Model,
     cfg: &ModelConfig,
     table: Option<&CanonTable>,
     states: &[u128],
-    shards: &[HashSet<u128>],
+    shards: &[KeySet],
     lo: usize,
     hi: usize,
     threads: usize,
 ) -> Vec<ChunkOut> {
     let n_chunks = (hi - lo).div_ceil(CHUNK);
-    let expand_chunk = |chunk: usize| -> ChunkOut {
+    let expand_chunk = |chunk: usize, buf: &mut Vec<(Label, ModelState)>| -> ChunkOut {
         let start = lo + chunk * CHUNK;
         let end = (start + CHUNK).min(hi);
         let mut out = ChunkOut {
@@ -387,20 +436,19 @@ fn expand_level(
             cands: Vec::new(),
             violations: Vec::new(),
         };
-        let mut buf: Vec<(Label, ModelState)> = Vec::new();
         for (id, &packed) in states.iter().enumerate().take(end).skip(start) {
             let current = unpack(packed);
             if let Some(desc) = violated_invariant(&current, cfg) {
                 out.violations.push((id as u32, 0, desc));
                 continue;
             }
-            model.successors_into(&current, &mut buf);
+            model.successors_into(&current, buf);
             out.transitions += buf.len();
             if buf.is_empty() {
                 out.violations.push((id as u32, 1, deadlock_message()));
                 continue;
             }
-            for (label, next) in &buf {
+            for (label, next) in buf.iter() {
                 let (key, perm) = match table {
                     Some(t) => t.canonicalize(next),
                     None => (pack(next), IDENTITY),
@@ -419,22 +467,28 @@ fn expand_level(
         out
     };
 
-    if threads == 1 {
-        return (0..n_chunks).map(expand_chunk).collect();
+    if threads == 1 || n_chunks == 1 {
+        let mut buf = Vec::new();
+        return (0..n_chunks)
+            .map(|chunk| expand_chunk(chunk, &mut buf))
+            .collect();
     }
     let slots: Vec<Mutex<Option<ChunkOut>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..threads.min(n_chunks) {
-            s.spawn(|| loop {
-                let chunk = next.fetch_add(1, Ordering::Relaxed);
-                if chunk >= n_chunks {
-                    break;
-                }
-                let out = expand_chunk(chunk);
-                match slots[chunk].lock() {
-                    Ok(mut slot) => *slot = Some(out),
-                    Err(poisoned) => *poisoned.into_inner() = Some(out),
+            s.spawn(|| {
+                let mut buf = Vec::new();
+                loop {
+                    let chunk = next.fetch_add(1, Ordering::Relaxed);
+                    if chunk >= n_chunks {
+                        break;
+                    }
+                    let out = expand_chunk(chunk, &mut buf);
+                    match slots[chunk].lock() {
+                        Ok(mut slot) => *slot = Some(out),
+                        Err(poisoned) => *poisoned.into_inner() = Some(out),
+                    }
                 }
             });
         }
@@ -452,16 +506,13 @@ fn expand_level(
 /// returns the accepted (first-occurrence) candidates sorted by their
 /// global position in chunk order — the deterministic discovery order of
 /// the next level. Workers own disjoint shard ranges, so insertion needs
-/// no locks; every worker scans all buffers in the same order.
-fn merge_level(
-    outs: &[ChunkOut],
-    shards: &mut [HashSet<u128>],
-    threads: usize,
-) -> Vec<(usize, Cand)> {
-    let per_worker = shards.len().div_ceil(threads);
-    let mut accepted: Vec<(usize, Cand)> = if threads == 1 {
+/// no locks; every worker scans all buffers in the same order. A
+/// single-chunk level merges inline.
+fn merge_level(outs: &[ChunkOut], shards: &mut [KeySet], threads: usize) -> Vec<(usize, Cand)> {
+    let mut accepted: Vec<(usize, Cand)> = if threads == 1 || outs.len() == 1 {
         merge_shard_range(outs, shards, 0)
     } else {
+        let per_worker = shards.len().div_ceil(threads);
         let slots: Vec<Mutex<Vec<(usize, Cand)>>> = (0..threads.min(shards.len()))
             .map(|_| Mutex::new(Vec::new()))
             .collect();
@@ -494,11 +545,7 @@ fn merge_level(
 /// keeps candidates whose shard falls in `[base, base + range.len())`,
 /// inserts them, and records first occurrences with their global
 /// sequence number.
-fn merge_shard_range(
-    outs: &[ChunkOut],
-    range: &mut [HashSet<u128>],
-    base: usize,
-) -> Vec<(usize, Cand)> {
+fn merge_shard_range(outs: &[ChunkOut], range: &mut [KeySet], base: usize) -> Vec<(usize, Cand)> {
     let mut accepted = Vec::new();
     let mut seq = 0usize;
     for out in outs {

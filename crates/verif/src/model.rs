@@ -205,6 +205,14 @@ impl Label {
     }
 }
 
+/// Receives each successor state a model helper produces, in the fixed
+/// branch order that keeps exploration deterministic.
+type Emit<'a> = &'a mut dyn FnMut(ModelState);
+
+/// [`Emit`] for directory-request branches, which also carry the source
+/// of the requested data.
+type EmitSourced<'a> = &'a mut dyn FnMut(ModelState, DataSource);
+
 /// The bounded model: generates successors of abstract states by running
 /// the production step relation under nondeterministic victim choice.
 #[derive(Clone, Copy, Debug)]
@@ -250,32 +258,22 @@ impl Model {
     }
 
     /// Writes all `(label, successor)` pairs of `s` into `out` (cleared
-    /// first). The checker reuses one buffer across its whole exploration,
-    /// so steady-state expansion allocates only for the successor states
-    /// themselves, not for per-call result vectors.
+    /// first). Every branch streams its final state straight into `out`
+    /// through callbacks, so once `out` has grown to the largest
+    /// successor set the expansion performs no heap allocation at all
+    /// (`tests/alloc_free.rs` holds it to zero).
     pub fn successors_into(&self, s: &ModelState, out: &mut Vec<(Label, ModelState)>) {
         out.clear();
-        let mut evicted = Vec::new();
         for core in 0..self.cfg.cores {
             for line in 0..self.cfg.lines {
                 let st = s.caches[core][line];
                 if !st.is_valid() {
-                    self.access(
-                        s,
-                        core,
-                        line,
-                        AccessKind::Read,
-                        Label::Read { core, line },
-                        out,
-                    );
-                    self.access(
-                        s,
-                        core,
-                        line,
-                        AccessKind::Write,
-                        Label::Write { core, line },
-                        out,
-                    );
+                    for (kind, label) in [
+                        (AccessKind::Read, Label::Read { core, line }),
+                        (AccessKind::Write, Label::Write { core, line }),
+                    ] {
+                        self.access(s, core, line, kind, &mut |ns| out.push((label, ns)));
+                    }
                     continue;
                 }
                 match st {
@@ -285,36 +283,27 @@ impl Model {
                         out.push((Label::SilentUpgrade { core, line }, ns));
                     }
                     Moesi::Shared | Moesi::Owned => {
-                        self.upgrade(s, core, line, out);
+                        let label = Label::Write { core, line };
+                        self.upgrade(s, core, line, &mut |ns| out.push((label, ns)));
                     }
                     _ => {}
                 }
                 // Voluntary capacity eviction.
                 let mut ns = s.clone();
                 ns.caches[core][line] = Moesi::Invalid;
-                evicted.clear();
-                self.dir_l2_evict(&ns, core, line, st.is_dirty(), &mut evicted);
                 let label = Label::Evict { core, line };
-                out.extend(evicted.drain(..).map(|es| (label, es)));
+                self.dir_l2_evict(ns, core, line, st.is_dirty(), &mut |es| {
+                    out.push((label, es))
+                });
             }
         }
     }
 
     /// A private-cache miss: directory request, invalidation delivery,
     /// fill, and (branching) L2 capacity-victim handling — the model's
-    /// mirror of `Machine::access`'s miss path. Final states are pushed
-    /// into `out` under `label`.
-    fn access(
-        &self,
-        s: &ModelState,
-        core: usize,
-        line: usize,
-        kind: AccessKind,
-        label: Label,
-        out: &mut Vec<(Label, ModelState)>,
-    ) {
-        let mut evicted = Vec::new();
-        for (mut ns, source) in self.dir_request(s, core, line, kind) {
+    /// mirror of `Machine::access`'s miss path. Final states go to `emit`.
+    fn access(&self, s: &ModelState, core: usize, line: usize, kind: AccessKind, emit: Emit) {
+        self.dir_request(s, core, line, kind, &mut |mut ns, source| {
             if kind == AccessKind::Read {
                 if let DataSource::L2Cache(owner) = source {
                     // MOESI: the forwarding owner downgrades (M→O, E→S),
@@ -335,32 +324,24 @@ impl Model {
                     let mut es = ns.clone();
                     es.caches[core][victim] = Moesi::Invalid;
                     es.caches[core][line] = fill;
-                    evicted.clear();
-                    self.dir_l2_evict(&es, core, victim, vstate.is_dirty(), &mut evicted);
-                    out.extend(evicted.drain(..).map(|e| (label, e)));
+                    self.dir_l2_evict(es, core, victim, vstate.is_dirty(), emit);
                 }
             } else {
                 ns.caches[core][line] = fill;
-                out.push((label, ns));
+                emit(ns);
             }
-        }
+        });
     }
 
     /// A store upgrade of a resident Shared/Owned line — the model's
     /// mirror of `Machine::upgrade`.
-    fn upgrade(
-        &self,
-        s: &ModelState,
-        core: usize,
-        line: usize,
-        out: &mut Vec<(Label, ModelState)>,
-    ) {
-        for (mut ns, _source) in self.dir_request(s, core, line, AccessKind::Write) {
+    fn upgrade(&self, s: &ModelState, core: usize, line: usize, emit: Emit) {
+        self.dir_request(s, core, line, AccessKind::Write, &mut |mut ns, _source| {
             if ns.caches[core][line].is_valid() {
                 ns.caches[core][line] = Moesi::Modified;
             }
-            out.push((Label::Write { core, line }, ns));
-        }
+            emit(ns);
+        });
     }
 
     fn invalidate(&self, s: &mut ModelState, line: usize, cores: SharerSet) {
@@ -370,23 +351,26 @@ impl Model {
     }
 
     /// Dispatches a directory request per kind, mirroring each slice's
-    /// `request`; returns every `(state, data source)` branch.
+    /// `request`; every `(state, data source)` branch goes to `emit`.
     fn dir_request(
         &self,
         s: &ModelState,
         core: usize,
         line: usize,
         kind: AccessKind,
-    ) -> Vec<(ModelState, DataSource)> {
+        emit: EmitSourced,
+    ) {
         match self.cfg.kind {
             DirKind::Baseline(appendix_a) => {
-                self.request_ed_td(s, core, line, kind, appendix_a, false)
+                self.request_ed_td(s, core, line, kind, appendix_a, false, emit)
             }
             DirKind::WayPartitioned => {
-                self.request_ed_td(s, core, line, kind, AppendixA::Fixed, false)
+                self.request_ed_td(s, core, line, kind, AppendixA::Fixed, false, emit)
             }
-            DirKind::SecDir => self.request_ed_td(s, core, line, kind, AppendixA::Fixed, true),
-            DirKind::VdOnly => self.request_vd_only(s, core, line, kind),
+            DirKind::SecDir => {
+                self.request_ed_td(s, core, line, kind, AppendixA::Fixed, true, emit)
+            }
+            DirKind::VdOnly => self.request_vd_only(s, core, line, kind, emit),
         }
     }
 
@@ -398,6 +382,7 @@ impl Model {
 
     /// The shared ED/TD request path of baseline, way-partitioned, and
     /// SecDir (which adds the VD probe after both miss).
+    #[allow(clippy::too_many_arguments)]
     fn request_ed_td(
         &self,
         s: &ModelState,
@@ -406,15 +391,16 @@ impl Model {
         kind: AccessKind,
         appendix_a: AppendixA,
         has_vd: bool,
-    ) -> Vec<(ModelState, DataSource)> {
+        emit: EmitSourced,
+    ) {
         let requester = CoreId(core);
         if let Some((part, entry)) = s.ed[line] {
-            return match kind {
+            match kind {
                 AccessKind::Read => {
                     let r = step::ed_read_hit(entry, requester);
                     let mut ns = s.clone();
                     ns.ed[line] = Some((part, r.entry));
-                    vec![(ns, r.source)]
+                    emit(ns, r.source);
                 }
                 AccessKind::Write => {
                     let r = step::ed_write_hit(entry, requester);
@@ -427,30 +413,23 @@ impl Model {
                         // Ownership moves to the writer's partition.
                         let moved = r.entry;
                         ns.ed[line] = None;
-                        let mut states = Vec::new();
-                        self.alloc_ed_entry(
-                            &ns,
-                            line,
-                            moved,
-                            core,
-                            appendix_a,
-                            has_vd,
-                            &mut states,
-                        );
-                        states.into_iter().map(|es| (es, r.source)).collect()
+                        self.alloc_ed_entry(ns, line, moved, core, appendix_a, has_vd, &mut |es| {
+                            emit(es, r.source)
+                        });
                     } else {
-                        vec![(ns, r.source)]
+                        emit(ns, r.source);
                     }
                 }
-            };
+            }
+            return;
         }
         if let Some((part, entry)) = s.td[line] {
-            return match kind {
+            match kind {
                 AccessKind::Read => {
                     let r = step::td_read_hit(entry, requester);
                     let mut ns = s.clone();
                     ns.td[line] = Some((part, r.entry));
-                    vec![(ns, r.source)]
+                    emit(ns, r.source);
                 }
                 AccessKind::Write => {
                     let r = step::td_write_hit(entry, requester);
@@ -462,57 +441,58 @@ impl Model {
                     let fresh = EdEntry {
                         sharers: SharerSet::single(requester),
                     };
-                    let mut states = Vec::new();
-                    self.alloc_ed_entry(&ns, line, fresh, core, appendix_a, has_vd, &mut states);
-                    states.into_iter().map(|es| (es, r.source)).collect()
+                    self.alloc_ed_entry(ns, line, fresh, core, appendix_a, has_vd, &mut |es| {
+                        emit(es, r.source)
+                    });
                 }
-            };
-        }
-        if has_vd {
-            if let Some(r) = self.secdir_vd_path(s, core, line, kind, appendix_a) {
-                return r;
             }
+            return;
+        }
+        if has_vd && self.secdir_vd_path(s, core, line, kind, emit) {
+            return;
         }
         // Full miss: fetch from memory, allocate an ED entry.
         let fresh = EdEntry {
             sharers: SharerSet::single(requester),
         };
-        let mut states = Vec::new();
-        self.alloc_ed_entry(s, line, fresh, core, appendix_a, has_vd, &mut states);
-        states
-            .into_iter()
-            .map(|es| (es, DataSource::Memory))
-            .collect()
+        self.alloc_ed_entry(
+            s.clone(),
+            line,
+            fresh,
+            core,
+            appendix_a,
+            has_vd,
+            &mut |es| emit(es, DataSource::Memory),
+        );
     }
 
-    /// SecDir's VD probe after an ED/TD miss; `None` means the VD missed
-    /// too and the caller falls through to the memory path.
+    /// SecDir's VD probe after an ED/TD miss; returns `false` (emitting
+    /// nothing) when the VD missed too and the caller falls through to
+    /// the memory path.
     fn secdir_vd_path(
         &self,
         s: &ModelState,
         core: usize,
         line: usize,
         kind: AccessKind,
-        _appendix_a: AppendixA,
-    ) -> Option<Vec<(ModelState, DataSource)>> {
+        emit: EmitSourced,
+    ) -> bool {
         let requester = CoreId(core);
         let matched = s.vd[line];
         match kind {
             AccessKind::Read => {
-                let owner = matched.without(requester).any()?;
+                let Some(owner) = matched.without(requester).any() else {
+                    return false;
+                };
                 // The reader joins the line's VD residency in its own bank.
-                let mut states = Vec::new();
-                self.vd_insert(s, line, core, &mut states);
-                Some(
-                    states
-                        .into_iter()
-                        .map(|ns| (ns, DataSource::L2Cache(owner)))
-                        .collect(),
-                )
+                self.vd_insert(s.clone(), line, core, &mut |ns| {
+                    emit(ns, DataSource::L2Cache(owner))
+                });
+                true
             }
             AccessKind::Write => {
                 if matched.is_empty() {
-                    return None;
+                    return false;
                 }
                 let had_copy = matched.contains(requester);
                 let others = matched.without(requester);
@@ -529,12 +509,11 @@ impl Model {
                     self.invalidate(&mut ns, line, others);
                 }
                 if had_copy {
-                    Some(vec![(ns, source)])
+                    emit(ns, source);
                 } else {
-                    let mut states = Vec::new();
-                    self.vd_insert(&ns, line, core, &mut states);
-                    Some(states.into_iter().map(|es| (es, source)).collect())
+                    self.vd_insert(ns, line, core, &mut |es| emit(es, source));
                 }
+                true
             }
         }
     }
@@ -546,7 +525,8 @@ impl Model {
         core: usize,
         line: usize,
         kind: AccessKind,
-    ) -> Vec<(ModelState, DataSource)> {
+        emit: EmitSourced,
+    ) {
         let requester = CoreId(core);
         let matched = s.vd[line];
         let others = matched.without(requester);
@@ -556,9 +536,7 @@ impl Model {
                     Some(owner) => DataSource::L2Cache(owner),
                     None => DataSource::Memory,
                 };
-                let mut states = Vec::new();
-                self.vd_insert(s, line, core, &mut states);
-                states.into_iter().map(|ns| (ns, source)).collect()
+                self.vd_insert(s.clone(), line, core, &mut |ns| emit(ns, source));
             }
             AccessKind::Write => {
                 let had_copy = matched.contains(requester);
@@ -577,11 +555,9 @@ impl Model {
                     self.invalidate(&mut ns, line, others);
                 }
                 if had_copy {
-                    vec![(ns, source)]
+                    emit(ns, source);
                 } else {
-                    let mut states = Vec::new();
-                    self.vd_insert(&ns, line, core, &mut states);
-                    states.into_iter().map(|es| (es, source)).collect()
+                    self.vd_insert(ns, line, core, &mut |es| emit(es, source));
                 }
             }
         }
@@ -590,26 +566,25 @@ impl Model {
     /// Allocates `entry` for `line` in the ED (of `core`'s partition when
     /// way-partitioned), branching over every possible ED victim when the
     /// structure is full; victims migrate into the TD per
-    /// [`step::ed_victim_to_td`]. Results are appended to `out`.
+    /// [`step::ed_victim_to_td`]. Results go to `emit`.
     #[allow(clippy::too_many_arguments)]
     fn alloc_ed_entry(
         &self,
-        s: &ModelState,
+        mut s: ModelState,
         line: usize,
         entry: EdEntry,
         core: usize,
         appendix_a: AppendixA,
         has_vd: bool,
-        out: &mut Vec<ModelState>,
+        emit: Emit,
     ) {
         debug_assert!(s.ed[line].is_none(), "ED allocation over a live entry");
         let part = if self.partitioned() { core as u8 } else { 0 };
         let occupied = |x: usize| matches!(s.ed[x], Some((p, _)) if p == part);
         let occupants = (0..self.cfg.lines).filter(|&x| occupied(x)).count();
         if occupants < self.cfg.ed_capacity {
-            let mut ns = s.clone();
-            ns.ed[line] = Some((part, entry));
-            out.push(ns);
+            s.ed[line] = Some((part, entry));
+            emit(s);
             return;
         }
         for vline in 0..self.cfg.lines {
@@ -623,29 +598,28 @@ impl Model {
             if !m.quirk_invalidate.is_empty() && self.cfg.fault != Fault::SkipQuirkInvalidation {
                 self.invalidate(&mut ns, vline, m.quirk_invalidate);
             }
-            self.insert_td_entry(&ns, vline, m.entry, vpart, has_vd, out);
+            self.insert_td_entry(ns, vline, m.entry, vpart, has_vd, emit);
         }
     }
 
     /// Inserts a TD entry for `line`, branching over every TD victim when
     /// full; victims resolve per [`step::td_conflict`] (discard ② or, for
-    /// SecDir, VD migration ③). Results are appended to `out`.
+    /// SecDir, VD migration ③). Results go to `emit`.
     fn insert_td_entry(
         &self,
-        s: &ModelState,
+        mut s: ModelState,
         line: usize,
         entry: TdEntry,
         part: u8,
         has_vd: bool,
-        out: &mut Vec<ModelState>,
+        emit: Emit,
     ) {
         debug_assert!(s.td[line].is_none(), "TD insertion over a live entry");
         let occupied = |x: usize| matches!(s.td[x], Some((p, _)) if p == part);
         let occupants = (0..self.cfg.lines).filter(|&x| occupied(x)).count();
         if occupants < self.cfg.td_capacity {
-            let mut ns = s.clone();
-            ns.td[line] = Some((part, entry));
-            out.push(ns);
+            s.td[line] = Some((part, entry));
+            emit(s);
             return;
         }
         for vline in 0..self.cfg.lines {
@@ -658,42 +632,45 @@ impl Model {
             match step::td_conflict(victim, has_vd) {
                 TdConflict::Discard { invalidate, .. } => {
                     self.invalidate(&mut ns, vline, invalidate);
-                    out.push(ns);
+                    emit(ns);
                 }
                 TdConflict::MigrateToVd { sharers, .. } => {
                     // Every sharer's bank receives the entry; each insert
                     // may branch on a self-conflict victim.
-                    let mut states = vec![ns];
-                    let mut next = Vec::new();
-                    for sharer in sharers.iter() {
-                        next.clear();
-                        for st in &states {
-                            self.vd_insert(st, vline, sharer.0, &mut next);
-                        }
-                        std::mem::swap(&mut states, &mut next);
-                    }
-                    out.append(&mut states);
+                    self.vd_insert_each(ns, vline, sharers, emit);
                 }
             }
+        }
+    }
+
+    /// Inserts `line` into the VD bank of every core in `banks`, in
+    /// ascending core order, emitting every combination of the victim
+    /// branches of the individual inserts (the first bank's choice
+    /// varies slowest).
+    fn vd_insert_each(&self, s: ModelState, line: usize, banks: SharerSet, emit: Emit) {
+        match banks.any() {
+            None => emit(s),
+            Some(first) => self.vd_insert(s, line, first.0, &mut |ns| {
+                self.vd_insert_each(ns, line, banks.without(first), emit)
+            }),
         }
     }
 
     /// Inserts `line` into `core`'s VD bank (idempotent), branching over
     /// every resident victim on a bank self-conflict (transition ⑤, which
     /// invalidates the bank owner's own copy of the displaced line).
-    /// Results are appended to `out`.
-    fn vd_insert(&self, s: &ModelState, line: usize, core: usize, out: &mut Vec<ModelState>) {
+    /// Results go to `emit`.
+    fn vd_insert(&self, mut s: ModelState, line: usize, core: usize, emit: Emit) {
         let owner = CoreId(core);
         if s.vd[line].contains(owner) {
-            out.push(s.clone());
+            emit(s);
             return;
         }
         let resident = |x: usize| x != line && s.vd[x].contains(owner);
         let resident_count = (0..self.cfg.lines).filter(|&x| resident(x)).count();
         if resident_count < self.cfg.vd_capacity {
-            let mut ns = s.clone();
-            ns.vd[line].insert(owner);
-            out.push(ns);
+            s.vd[line].insert(owner);
+            emit(s);
             return;
         }
         for vline in 0..self.cfg.lines {
@@ -704,70 +681,59 @@ impl Model {
             ns.vd[vline].remove(owner);
             ns.caches[core][vline] = Moesi::Invalid;
             ns.vd[line].insert(owner);
-            out.push(ns);
+            emit(ns);
         }
     }
 
     /// Dispatches an L2 eviction per kind, mirroring each slice's
-    /// `l2_evict`. Results are appended to `out`.
-    fn dir_l2_evict(
-        &self,
-        s: &ModelState,
-        core: usize,
-        line: usize,
-        dirty: bool,
-        out: &mut Vec<ModelState>,
-    ) {
+    /// `l2_evict`. Results go to `emit`.
+    fn dir_l2_evict(&self, mut s: ModelState, core: usize, line: usize, dirty: bool, emit: Emit) {
         let evictor = CoreId(core);
         match self.cfg.kind {
             DirKind::VdOnly => {
-                let mut ns = s.clone();
-                ns.vd[line].remove(evictor);
-                out.push(ns);
+                s.vd[line].remove(evictor);
+                emit(s);
             }
             DirKind::Baseline(..) | DirKind::WayPartitioned | DirKind::SecDir => {
                 let has_vd = self.cfg.kind == DirKind::SecDir;
                 if let Some((part, entry)) = s.ed[line] {
-                    let mut ns = s.clone();
-                    ns.ed[line] = None;
+                    s.ed[line] = None;
                     self.insert_td_entry(
-                        &ns,
+                        s,
                         line,
                         step::l2_evict_ed(entry, evictor, dirty),
                         part,
                         has_vd,
-                        out,
+                        emit,
                     );
                     return;
                 }
                 if let Some((part, entry)) = s.td[line] {
-                    let mut ns = s.clone();
                     let (updated, _fills) = step::l2_evict_td(entry, evictor, dirty);
-                    ns.td[line] = Some((part, updated));
-                    out.push(ns);
+                    s.td[line] = Some((part, updated));
+                    emit(s);
                     return;
                 }
                 if has_vd && !s.vd[line].is_empty() {
                     // Transition ④: consolidate the VD residency into a TD
                     // entry, exactly as `SecDirSlice::l2_evict` does.
                     let matched = s.vd[line];
-                    let mut ns = s.clone();
                     if self.cfg.fault != Fault::LeakVdOnConsolidate {
-                        ns.vd[line] = SharerSet::empty();
+                        s.vd[line] = SharerSet::empty();
                     }
                     self.insert_td_entry(
-                        &ns,
+                        s,
                         line,
                         step::l2_evict_ed(EdEntry { sharers: matched }, evictor, dirty),
                         0,
                         true,
-                        out,
+                        emit,
                     );
                     return;
                 }
                 // No directory entry: only reachable in faulty runs whose
                 // violation the checker reports before exploring deeper.
-                out.push(s.clone());
+                emit(s);
             }
         }
     }

@@ -85,48 +85,62 @@ fn mask_to_set(mask: u32) -> SharerSet {
     s
 }
 
-/// Packs the 32-bit word of `line` under the core relabeling `cp`
-/// (`cp[c]` is the new index of old core `c`; pass the identity for a
-/// plain pack) and the partition relabeling `pp`. The two differ because
-/// the partition field is *semantic* only under the way-partitioned
-/// organization (where partition `c` belongs to core `c` and relabels
-/// with the cores, `pp == cp`); every other kind stores a constant 0
-/// there, which the symmetry action must leave untouched (`pp` =
-/// identity) or canonical forms stop being constant on orbits. The word
-/// describes the line's content with cores renamed but the line
-/// *position* unchanged — callers place the word.
+/// Bit offsets and masks of the line-word fields (layout in the module
+/// docs), shared with the relabeling tables of [`canon`](crate::canon).
+pub(crate) mod field {
+    /// VD residency mask (4 bits).
+    pub const VD: u32 = 12;
+    /// ED-present flag.
+    pub const ED_PRESENT: u32 = 1 << 16;
+    /// ED owning partition (2 bits).
+    pub const ED_PART: u32 = 17;
+    /// ED sharer mask (4 bits).
+    pub const ED_SHARERS: u32 = 19;
+    /// TD-present flag.
+    pub const TD_PRESENT: u32 = 1 << 23;
+    /// TD owning partition (2 bits).
+    pub const TD_PART: u32 = 24;
+    /// TD sharer mask (4 bits).
+    pub const TD_SHARERS: u32 = 26;
+    /// TD has_data flag.
+    pub const TD_HAS_DATA: u32 = 1 << 30;
+    /// TD llc_dirty flag.
+    pub const TD_DIRTY: u32 = 1 << 31;
+    /// Bits no core relabeling changes.
+    pub const FIXED: u32 = ED_PRESENT | TD_PRESENT | TD_HAS_DATA | TD_DIRTY;
+    /// Both partition fields.
+    pub const PARTS: u32 = 0b11 << ED_PART | 0b11 << TD_PART;
+}
+
+/// Packs the 32-bit word of `line`: the line's content with cores in
+/// their original positions. Callers place the word; symmetry
+/// relabelings act on it through the tables of [`canon`](crate::canon).
 #[inline]
-pub fn line_word(s: &ModelState, line: usize, cp: &[u8; MAX_CORES], pp: &[u8; MAX_CORES]) -> u32 {
+pub fn line_word(s: &ModelState, line: usize) -> u32 {
     let mut w = 0u32;
-    for (core, &renamed) in cp.iter().enumerate().take(MAX_CORES) {
-        w |= moesi_code(s.caches[core][line]) << (3 * renamed as u32);
+    for core in 0..MAX_CORES {
+        w |= moesi_code(s.caches[core][line]) << (3 * core);
     }
-    w |= permute_mask(mask_of(s.vd[line]), cp) << 12;
+    w |= mask_of(s.vd[line]) << field::VD;
     if let Some((part, e)) = s.ed[line] {
         debug_assert!((part as usize) < MAX_CORES, "ED partition out of range");
-        w |= 1 << 16;
-        w |= u32::from(pp[part as usize]) << 17;
-        w |= permute_mask(mask_of(e.sharers), cp) << 19;
+        w |= field::ED_PRESENT;
+        w |= u32::from(part) << field::ED_PART;
+        w |= mask_of(e.sharers) << field::ED_SHARERS;
     }
     if let Some((part, t)) = s.td[line] {
         debug_assert!((part as usize) < MAX_CORES, "TD partition out of range");
-        w |= 1 << 23;
-        w |= u32::from(pp[part as usize]) << 24;
-        w |= permute_mask(mask_of(t.sharers), cp) << 26;
-        w |= u32::from(t.has_data) << 30;
-        w |= u32::from(t.llc_dirty) << 31;
+        w |= field::TD_PRESENT;
+        w |= u32::from(part) << field::TD_PART;
+        w |= mask_of(t.sharers) << field::TD_SHARERS;
+        if t.has_data {
+            w |= field::TD_HAS_DATA;
+        }
+        if t.llc_dirty {
+            w |= field::TD_DIRTY;
+        }
     }
     w
-}
-
-/// Applies a core relabeling to a 4-bit presence mask.
-#[inline]
-pub fn permute_mask(mask: u32, cp: &[u8; MAX_CORES]) -> u32 {
-    let mut out = 0u32;
-    for (c, &image) in cp.iter().enumerate() {
-        out |= ((mask >> c) & 1) << image;
-    }
-    out
 }
 
 /// Assembles a packed state from its four line words (index 0 most
@@ -143,12 +157,7 @@ pub fn assemble(words: [u32; MAX_LINES]) -> u128 {
 /// Packs `s` with cores and lines in their original positions.
 #[inline]
 pub fn pack(s: &ModelState) -> u128 {
-    const IDENT: [u8; MAX_CORES] = [0, 1, 2, 3];
-    let mut words = [0u32; MAX_LINES];
-    for (line, w) in words.iter_mut().enumerate() {
-        *w = line_word(s, line, &IDENT, &IDENT);
-    }
-    assemble(words)
+    assemble(std::array::from_fn(|line| line_word(s, line)))
 }
 
 /// Expands a packed word back into the struct form (exact inverse of
@@ -160,22 +169,22 @@ pub fn unpack(packed: u128) -> ModelState {
         for (core, row) in s.caches.iter_mut().enumerate() {
             row[line] = moesi_decode((w >> (3 * core)) & 0b111);
         }
-        s.vd[line] = mask_to_set((w >> 12) & 0xf);
-        if w & (1 << 16) != 0 {
+        s.vd[line] = mask_to_set((w >> field::VD) & 0xf);
+        if w & field::ED_PRESENT != 0 {
             s.ed[line] = Some((
-                ((w >> 17) & 0b11) as u8,
+                ((w >> field::ED_PART) & 0b11) as u8,
                 EdEntry {
-                    sharers: mask_to_set((w >> 19) & 0xf),
+                    sharers: mask_to_set((w >> field::ED_SHARERS) & 0xf),
                 },
             ));
         }
-        if w & (1 << 23) != 0 {
+        if w & field::TD_PRESENT != 0 {
             s.td[line] = Some((
-                ((w >> 24) & 0b11) as u8,
+                ((w >> field::TD_PART) & 0b11) as u8,
                 TdEntry {
-                    sharers: mask_to_set((w >> 26) & 0xf),
-                    has_data: w & (1 << 30) != 0,
-                    llc_dirty: w & (1 << 31) != 0,
+                    sharers: mask_to_set((w >> field::TD_SHARERS) & 0xf),
+                    has_data: w & field::TD_HAS_DATA != 0,
+                    llc_dirty: w & field::TD_DIRTY != 0,
                 },
             ));
         }
@@ -285,23 +294,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn line_word_respects_core_relabeling() {
-        let mut s = ModelState::initial();
-        s.caches[0][1] = Moesi::Exclusive;
-        s.vd[1] = SharerSet::single(CoreId(0));
-        // Swap cores 0 and 1: the word must equal the plain word of the
-        // pre-swapped state.
-        let mut swapped = ModelState::initial();
-        swapped.caches[1][1] = Moesi::Exclusive;
-        swapped.vd[1] = SharerSet::single(CoreId(1));
-        let cp = [1u8, 0, 2, 3];
-        let ident = [0u8, 1, 2, 3];
-        assert_eq!(
-            line_word(&s, 1, &cp, &cp),
-            line_word(&swapped, 1, &ident, &ident)
-        );
     }
 }

@@ -9,8 +9,13 @@
 //! `InlineVec` spills to the heap only when a single directory response
 //! carries more than 4 invalidations, which none of the kinds hits on
 //! this workload (and the assertion would catch it if one did).
+//!
+//! The model checker's per-state successor expansion
+//! (`Model::successors_into`) is held to the same bar: once its output
+//! buffer has room, expanding a state allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use secdir_machine::serve::{run_serve, uniform_streams, JournalFormat, ServeConfig, TenantSpec};
@@ -19,6 +24,7 @@ use secdir_machine::{
     SlicedOptions,
 };
 use secdir_mem::{CoreId, LineAddr, SplitMix64};
+use secdir_verif::{DirKind, Model, ModelConfig, ModelState};
 
 struct CountingAlloc;
 
@@ -87,10 +93,58 @@ fn sliced_run_allocations(
     allocations() - before
 }
 
+/// The first `n` states of a breadth-first walk of the full 4-core ×
+/// 4-line SecDir model, and the size of the largest successor set among
+/// them.
+fn secdir_bfs_sample(model: &Model, n: usize) -> (Vec<ModelState>, usize) {
+    let mut seen = HashSet::new();
+    let mut states = vec![ModelState::initial()];
+    seen.insert(ModelState::initial());
+    let mut widest = 0;
+    let mut next = 0;
+    while states.len() < n && next < states.len() {
+        let succ = model.successors(&states[next]);
+        widest = widest.max(succ.len());
+        for (_, t) in succ {
+            if states.len() < n && seen.insert(t.clone()) {
+                states.push(t);
+            }
+        }
+        next += 1;
+    }
+    for s in &states[next..] {
+        widest = widest.max(model.successors(s).len());
+    }
+    (states, widest)
+}
+
 #[test]
 fn steady_state_accesses_do_not_allocate() {
     // One test function (not one per kind): the counter is process-global
     // and concurrent test threads would see each other's allocations.
+
+    // The checker's successor expansion: with the output buffer sized for
+    // the widest successor set, expanding thousands of states must not
+    // touch the heap.
+    let model = Model::new(ModelConfig::full(DirKind::SecDir));
+    let (sample, widest) = secdir_bfs_sample(&model, 3000);
+    let mut out = Vec::with_capacity(widest);
+    model.successors_into(&sample[0], &mut out);
+    let before = allocations();
+    let mut transitions = 0;
+    for s in &sample {
+        model.successors_into(s, &mut out);
+        transitions += out.len();
+    }
+    let delta = allocations() - before;
+    assert!(transitions > sample.len(), "the sample must branch");
+    assert_eq!(
+        delta,
+        0,
+        "successor expansion: {delta} heap allocations over {} states ({transitions} transitions)",
+        sample.len()
+    );
+
     for kind in DirectoryKind::ALL {
         let mut machine = Machine::new(MachineConfig::small(4, kind));
         let mut rng = SplitMix64::new(0xa110_c8ed);
