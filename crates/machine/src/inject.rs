@@ -30,7 +30,7 @@
 //! [`secdir_verif::Fault`]: ../secdir_verif/enum.Fault.html
 
 use secdir_coherence::{InvalidationCause, Invalidations};
-use secdir_mem::{CoreId, LineAddr, SplitMix64};
+use secdir_mem::{json, CoreId, LineAddr, SplitMix64};
 
 use crate::config::{DirectoryKind, MachineConfig};
 use crate::machine::Machine;
@@ -302,26 +302,14 @@ impl InjectOutcome {
     /// One fixed-order JSON object describing this outcome (the
     /// `secdir-sim inject` report format).
     pub fn to_json_line(&self) -> String {
-        let opt = |v: Option<u64>| v.map_or("null".to_string(), |x| x.to_string());
-        let mut s = String::new();
-        s.push_str("{\"directory\":\"");
-        s.push_str(self.kind.name());
-        s.push_str("\",\"fault\":\"");
-        s.push_str(self.fault.name());
-        s.push_str("\",\"fired_at\":");
-        s.push_str(&opt(self.fired_at));
-        s.push_str(",\"detected_at\":");
-        s.push_str(&opt(self.detected_at));
-        s.push_str(",\"accesses\":");
-        s.push_str(&self.accesses.to_string());
-        s.push_str(",\"detected_in_time\":");
-        s.push_str(if self.detected_in_time() {
-            "true"
-        } else {
-            "false"
-        });
-        s.push('}');
-        s
+        json::line(|o| {
+            o.str("directory", self.kind.name());
+            o.str("fault", self.fault.name());
+            o.opt_num("fired_at", self.fired_at);
+            o.opt_num("detected_at", self.detected_at);
+            o.num("accesses", self.accesses);
+            o.bool("detected_in_time", self.detected_in_time());
+        })
     }
 }
 

@@ -27,6 +27,7 @@
 use std::io::{self, Write};
 use std::time::Instant;
 
+use secdir_mem::json;
 use serde::{Deserialize, Serialize};
 
 use crate::sweep::{sweep, CellSpec, StreamFactory};
@@ -149,36 +150,25 @@ impl PerfSample {
     /// `mode:"sliced"` and gave them `epoch_batch`/`pipeline` fields
     /// after `threads`; schema `/4` dropped `pipeline`.
     pub fn to_json_line(&self, spec: &PerfSpec) -> String {
-        let tuning = match self.tuning {
-            Some(t) => format!(",\"epoch_batch\":{}", t.epoch_batch),
-            None => String::new(),
-        };
-        format!(
-            concat!(
-                "{{\"schema\":\"secdir-bench-throughput/4\",",
-                "\"workload\":\"{workload}\",\"directory\":\"{directory}\",",
-                "\"mode\":\"{mode}\",\"cores\":{cores},\"warmup\":{warmup},",
-                "\"measure\":{measure},\"serial_reps\":{reps},",
-                "\"warmup_timed\":{warmup_timed},",
-                "\"cells\":{cells},\"threads\":{threads}{tuning},",
-                "\"accesses\":{accesses},\"nanos\":{nanos},",
-                "\"accesses_per_sec\":{aps}}}"
-            ),
-            workload = spec.workload,
-            directory = self.directory.name(),
-            mode = self.mode,
-            cores = spec.cores,
-            warmup = spec.warmup,
-            measure = spec.measure,
-            reps = spec.serial_reps,
-            warmup_timed = self.warmup_timed,
-            cells = self.cells,
-            threads = self.threads,
-            tuning = tuning,
-            accesses = self.accesses,
-            nanos = self.nanos,
-            aps = self.accesses_per_sec(),
-        )
+        json::line(|o| {
+            o.str("schema", "secdir-bench-throughput/4");
+            o.str("workload", &spec.workload);
+            o.str("directory", self.directory.name());
+            o.str("mode", self.mode);
+            o.num("cores", spec.cores as u64);
+            o.num("warmup", spec.warmup);
+            o.num("measure", spec.measure);
+            o.num("serial_reps", spec.serial_reps as u64);
+            o.bool("warmup_timed", self.warmup_timed);
+            o.num("cells", self.cells as u64);
+            o.num("threads", self.threads as u64);
+            if let Some(t) = self.tuning {
+                o.num("epoch_batch", t.epoch_batch as u64);
+            }
+            o.num("accesses", self.accesses);
+            o.num_u128("nanos", self.nanos);
+            o.num("accesses_per_sec", self.accesses_per_sec());
+        })
     }
 }
 

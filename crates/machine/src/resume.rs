@@ -19,10 +19,9 @@
 //! yields output byte-identical to an uninterrupted run (asserted by
 //! `tests/determinism.rs`).
 //!
-//! Parsing is intentionally shallow: the offline `serde` facade has no
-//! JSON parser, and resume only needs the fixed-order cell-identity
-//! prefix every record shape shares (see EXPERIMENTS.md). A string-aware
-//! structural scanner walks the **top level** of each record: keys and
+//! Parsing is intentionally shallow: resume only needs the cell-identity
+//! prefix every record shape shares (see EXPERIMENTS.md), read through
+//! the string-aware top-level scanner in [`secdir_mem::json`]. Keys and
 //! values inside string literals or nested objects/arrays are never
 //! mistaken for identity fields — a `"panicked"` record whose free-text
 //! `msg` embeds JSON-shaped text (`","workload":"x"`, `"seed":999`,
@@ -32,138 +31,9 @@
 
 use std::collections::HashMap;
 
+use secdir_mem::json;
+
 use crate::sweep::{CellOutcome, CellSpec};
-
-/// A top-level JSON value as seen by the shallow scanner. Shared with
-/// [`crate::serve`]'s journal parser, which reuses the same structural
-/// scan for its checkpoint records.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Prim<'a> {
-    /// String value, raw (escapes not decoded — the cell-identity fields
-    /// resume reads never contain escapes; `msg` does, but resume only
-    /// needs to skip over it).
-    Str(&'a str),
-    /// Unsigned integer value.
-    Num(u64),
-    /// Anything else (nested object/array, float, bool, null).
-    Other,
-}
-
-/// Advances past a JSON string literal whose opening quote is at `i`.
-/// Returns the index just past the closing quote, or `None` if the line
-/// ends first (a record truncated mid-string).
-fn skip_string(bytes: &[u8], mut i: usize) -> Option<usize> {
-    debug_assert_eq!(bytes[i], b'"');
-    i += 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2, // the escaped byte can never close the string
-            b'"' => return Some(i + 1),
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// Advances past a balanced nested `{...}`/`[...]` starting at `i`,
-/// ignoring brackets inside string literals. Returns the index just past
-/// the closing bracket, or `None` if the line ends unbalanced.
-fn skip_nested(bytes: &[u8], mut i: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => i = skip_string(bytes, i)?,
-            b'{' | b'[' => {
-                depth += 1;
-                i += 1;
-            }
-            b'}' | b']' => {
-                depth -= 1;
-                i += 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-            }
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// String-aware structural scan of one record line: returns the top-level
-/// `(key, value)` pairs of the outermost object, or `None` when the line
-/// is malformed or truncated. The whole line must be consumed by the
-/// outermost object — trailing garbage is malformed.
-pub(crate) fn scan_top_level(line: &str) -> Option<Vec<(&str, Prim<'_>)>> {
-    let bytes = line.as_bytes();
-    let skip_ws = |mut i: usize| {
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        i
-    };
-    let mut i = skip_ws(0);
-    if i >= bytes.len() || bytes[i] != b'{' {
-        return None;
-    }
-    i = skip_ws(i + 1);
-    let mut fields = Vec::new();
-    if i < bytes.len() && bytes[i] == b'}' {
-        return (skip_ws(i + 1) == bytes.len()).then_some(fields);
-    }
-    loop {
-        // Key.
-        if i >= bytes.len() || bytes[i] != b'"' {
-            return None;
-        }
-        let key_end = skip_string(bytes, i)?;
-        let key = &line[i + 1..key_end - 1];
-        i = skip_ws(key_end);
-        if i >= bytes.len() || bytes[i] != b':' {
-            return None;
-        }
-        i = skip_ws(i + 1);
-        // Value.
-        let value = match *bytes.get(i)? {
-            b'"' => {
-                let end = skip_string(bytes, i)?;
-                let v = Prim::Str(&line[i + 1..end - 1]);
-                i = end;
-                v
-            }
-            b'{' | b'[' => {
-                i = skip_nested(bytes, i)?;
-                Prim::Other
-            }
-            b'0'..=b'9' | b'-' => {
-                let start = i;
-                while i < bytes.len()
-                    && matches!(bytes[i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
-                    i += 1;
-                }
-                match line[start..i].parse::<u64>() {
-                    Ok(n) => Prim::Num(n),
-                    Err(_) => Prim::Other, // float or negative: not an identity field
-                }
-            }
-            b't' | b'f' | b'n' => {
-                while i < bytes.len() && bytes[i].is_ascii_alphabetic() {
-                    i += 1;
-                }
-                Prim::Other
-            }
-            _ => return None,
-        };
-        fields.push((key, value));
-        i = skip_ws(i);
-        match bytes.get(i) {
-            Some(b',') => i = skip_ws(i + 1),
-            Some(b'}') => return (skip_ws(i + 1) == bytes.len()).then_some(fields),
-            _ => return None,
-        }
-    }
-}
 
 /// The cell-identity prefix shared by every sweep record shape.
 #[derive(Debug)]
@@ -183,45 +53,15 @@ struct ParsedRecord {
 /// nested `summary`/`stats` objects of a success record, can never
 /// supply or shadow an identity field.
 fn parse_record(line: &str) -> Option<ParsedRecord> {
-    let fields = scan_top_level(line)?;
-    let mut status = None;
-    let mut workload = None;
-    let mut directory = None;
-    let mut seed = None;
-    let mut cores = None;
-    let mut warmup = None;
-    let mut measure = None;
-    for (key, value) in fields {
-        let slot_str = match key {
-            "status" => &mut status,
-            "workload" => &mut workload,
-            "directory" => &mut directory,
-            _ => {
-                let slot_num = match key {
-                    "seed" => &mut seed,
-                    "cores" => &mut cores,
-                    "warmup" => &mut warmup,
-                    "measure" => &mut measure,
-                    _ => continue,
-                };
-                if let (Prim::Num(n), None) = (&value, &slot_num) {
-                    *slot_num = Some(*n);
-                }
-                continue;
-            }
-        };
-        if let (Prim::Str(s), None) = (&value, &slot_str) {
-            *slot_str = Some((*s).to_string());
-        }
-    }
+    let fields = json::scan_top_level(line)?;
     Some(ParsedRecord {
-        status,
-        workload: workload?,
-        directory: directory?,
-        seed: seed?,
-        cores: cores?,
-        warmup: warmup?,
-        measure: measure?,
+        status: fields.str("status").map(str::to_string),
+        workload: fields.str("workload")?.to_string(),
+        directory: fields.str("directory")?.to_string(),
+        seed: fields.num("seed")?,
+        cores: fields.num("cores")?,
+        warmup: fields.num("warmup")?,
+        measure: fields.num("measure")?,
     })
 }
 
@@ -495,40 +335,6 @@ mod tests {
         // lacks top-level identity), not matched to a cell.
         let err = plan_resume(&cells, &text).unwrap_err();
         assert!(err.contains("line 1"), "err={err}");
-    }
-
-    #[test]
-    fn scanner_rejects_truncations_and_trailing_garbage() {
-        let whole = "{\"workload\":\"a\",\"directory\":\"baseline\",\"seed\":1,\
-                     \"cores\":2,\"warmup\":50,\"measure\":200}";
-        assert!(parse_record(whole).is_some());
-        for cut in 1..whole.len() {
-            assert!(
-                parse_record(&whole[..cut]).is_none(),
-                "prefix of length {cut} must not parse"
-            );
-        }
-        assert!(parse_record(&format!("{whole}junk")).is_none());
-        assert!(parse_record(&format!("{whole}{{}}")).is_none());
-    }
-
-    #[test]
-    fn scanner_handles_floats_booleans_and_nulls() {
-        let fields = scan_top_level(
-            "{\"a\":1.5,\"b\":true,\"c\":null,\"d\":-3,\"e\":42,\"f\":[1,{\"x\":2}]}",
-        )
-        .unwrap();
-        assert_eq!(
-            fields,
-            vec![
-                ("a", Prim::Other),
-                ("b", Prim::Other),
-                ("c", Prim::Other),
-                ("d", Prim::Other),
-                ("e", Prim::Num(42)),
-                ("f", Prim::Other),
-            ]
-        );
     }
 
     #[test]

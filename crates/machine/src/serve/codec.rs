@@ -12,8 +12,9 @@
 //! length plus UTF-8 bytes). The record set mirrors the JSONL journal
 //! one-to-one — header, tenant spec, checkpoint, terminal — and
 //! [`decode_journal`] re-renders each record through the *same*
-//! rendering functions the JSONL writer uses, so decoding a binary
-//! journal reproduces the JSONL journal byte-for-byte.
+//! rendering functions the JSONL writer uses (built on the shared
+//! [`secdir_mem::json`] writer), so decoding a binary journal reproduces
+//! the JSONL journal byte-for-byte.
 //!
 //! Framing is the durability and crash-recovery unit: the writer
 //! buffers all records emitted in one scheduler tick into one frame and

@@ -5,9 +5,11 @@
 //! two encodings ([`JournalFormat`]):
 //!
 //! * **JSONL** — every record is one JSON object on one line, written
-//!   in a fixed field order and flushed before the next record starts,
-//!   so a SIGKILL at any byte leaves a well-formed prefix plus at most
-//!   one truncated final line.
+//!   in a fixed field order through the shared [`secdir_mem::json`]
+//!   writer (into a reused buffer, so steady-state rendering allocates
+//!   nothing) and flushed before the next record starts, so a SIGKILL
+//!   at any byte leaves a well-formed prefix plus at most one truncated
+//!   final line.
 //! * **binary** (`secdir-journal/1`, see [`super::codec`]) — records
 //!   are varint-packed into length-prefixed, CRC-checksummed frames,
 //!   one frame per scheduler tick, flushed per frame (group commit), so
@@ -28,7 +30,7 @@
 //! binary journals by decoding complete frames back to their JSONL
 //! rendering), validates them against the current configuration
 //! (byte-comparing the header/spec lines, structurally parsing the
-//! records with the shared [`crate::resume::scan_top_level`] scanner),
+//! records with the shared [`secdir_mem::json::scan_top_level`] scanner),
 //! and the server re-runs the whole schedule from tick 0. Tenants whose
 //! terminal record survived become *ghosts* (their records are spliced
 //! from the kept prefix, their machines are never rebuilt); live
@@ -46,7 +48,7 @@
 
 use super::codec::{self, HeaderRec, JournalFormat};
 use super::{ServeConfig, TenantSpec, TenantStatus};
-use crate::resume::{scan_top_level, Prim};
+use secdir_mem::json;
 use std::fmt;
 use std::io::Write;
 
@@ -75,152 +77,25 @@ impl fmt::Display for ServeError {
 
 // --- rendering ------------------------------------------------------
 
-/// One record line under construction, rendered into a caller-owned
-/// buffer so the steady-state emission path allocates nothing (the
-/// buffer reaches its high-water capacity once and is reused).
-struct Line<'a> {
-    out: &'a mut String,
-}
-
-impl<'a> Line<'a> {
-    fn start(out: &'a mut String) -> Line<'a> {
-        out.clear();
-        out.push('{');
-        Line { out }
-    }
-
-    fn sep(&mut self) {
-        if self.out.len() > 1 {
-            self.out.push(',');
-        }
-    }
-
-    fn key(&mut self, k: &str) {
-        self.sep();
-        self.out.push('"');
-        self.out.push_str(k);
-        self.out.push_str("\":");
-    }
-
-    fn str_field(&mut self, k: &str, v: &str) {
-        self.key(k);
-        self.out.push('"');
-        push_escaped(self.out, v);
-        self.out.push('"');
-    }
-
-    fn num_field(&mut self, k: &str, v: u64) {
-        self.key(k);
-        push_u64(self.out, v);
-    }
-
-    fn bool_field(&mut self, k: &str, v: bool) {
-        self.key(k);
-        self.out.push_str(if v { "true" } else { "false" });
-    }
-
-    fn opt_num_field(&mut self, k: &str, v: Option<u64>) {
-        self.key(k);
-        match v {
-            Some(n) => push_u64(self.out, n),
-            None => self.out.push_str("null"),
-        }
-    }
-
-    fn end(self) {
-        self.out.push('}');
-    }
-}
-
-/// Appends `v` in decimal without allocating.
-fn push_u64(out: &mut String, v: u64) {
-    if v == 0 {
-        out.push('0');
-        return;
-    }
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    let mut x = v;
-    while x > 0 {
-        i -= 1;
-        buf[i] = b'0' + (x % 10) as u8;
-        x /= 10;
-    }
-    for &b in &buf[i..] {
-        out.push(b as char);
-    }
-}
-
-/// Appends `s` JSON-escaped (quotes, backslashes, control bytes).
-fn push_escaped(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str("\\u00");
-                let n = c as u32;
-                for shift in [4u32, 0] {
-                    let d = (n >> shift) & 0xf;
-                    out.push(char::from_digit(d, 16).unwrap_or('0'));
-                }
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Inverts [`push_escaped`]: decodes the raw (escaped) text of a JSONL
-/// string field back to the original string, or `None` if the text is
-/// not something the renderer could have produced.
-pub(crate) fn unescape(raw: &str) -> Option<String> {
-    let mut out = String::with_capacity(raw.len());
-    let mut chars = raw.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            'u' => {
-                let mut v = 0u32;
-                for _ in 0..4 {
-                    v = v * 16 + chars.next()?.to_digit(16)?;
-                }
-                out.push(char::from_u32(v)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
 /// Renders the header record into `out` (cleared first).
 pub(crate) fn render_header_into(out: &mut String, h: &HeaderRec) {
+    out.clear();
     out.reserve(256);
-    let mut l = Line::start(out);
-    l.str_field("schema", "secdir-serve/1");
-    l.num_field("tenants", h.tenants);
-    l.num_field("pool", h.pool);
-    l.num_field("queue_cap", h.queue_cap);
-    l.num_field("global_cap", h.global_cap);
-    l.num_field("ingest", h.ingest);
-    l.num_field("drain", h.drain);
-    l.num_field("idle_timeout", h.idle_timeout);
-    l.num_field("checkpoint_interval", h.checkpoint_interval);
-    l.num_field("max_waiting", h.max_waiting);
-    l.num_field("burst_on", h.burst_on);
-    l.num_field("burst_off", h.burst_off);
-    l.bool_field("audit", h.audit);
-    l.end();
+    json::object(out, |l| {
+        l.str("schema", "secdir-serve/1");
+        l.num("tenants", h.tenants);
+        l.num("pool", h.pool);
+        l.num("queue_cap", h.queue_cap);
+        l.num("global_cap", h.global_cap);
+        l.num("ingest", h.ingest);
+        l.num("drain", h.drain);
+        l.num("idle_timeout", h.idle_timeout);
+        l.num("checkpoint_interval", h.checkpoint_interval);
+        l.num("max_waiting", h.max_waiting);
+        l.num("burst_on", h.burst_on);
+        l.num("burst_off", h.burst_off);
+        l.bool("audit", h.audit);
+    });
 }
 
 /// Renders the header record pinning the scheduling configuration.
@@ -232,27 +107,28 @@ pub(crate) fn render_header(h: &HeaderRec) -> String {
 
 /// Renders one tenant's spec record into `out` (cleared first).
 pub(crate) fn render_spec_into(out: &mut String, spec: &TenantSpec) {
+    out.clear();
     out.reserve(192 + spec.name.len() + spec.workload.len());
-    let mut l = Line::start(out);
-    l.str_field("tenant", &spec.name);
-    l.str_field("workload", &spec.workload);
-    l.str_field("directory", spec.kind.name());
-    l.num_field("seed", spec.seed);
-    l.num_field("cores", spec.cores as u64);
-    l.num_field("refs", spec.refs);
-    match spec.fault {
-        Some(plan) => {
-            l.str_field("fault", plan.kind.name());
-            l.num_field("trigger", plan.trigger);
-            l.num_field("fault_core", plan.core.0 as u64);
+    json::object(out, |l| {
+        l.str("tenant", &spec.name);
+        l.str("workload", &spec.workload);
+        l.str("directory", spec.kind.name());
+        l.num("seed", spec.seed);
+        l.num("cores", spec.cores as u64);
+        l.num("refs", spec.refs);
+        match spec.fault {
+            Some(plan) => {
+                l.str("fault", plan.kind.name());
+                l.num("trigger", plan.trigger);
+                l.num("fault_core", plan.core.0 as u64);
+            }
+            None => {
+                l.str("fault", "none");
+                l.num("trigger", 0);
+                l.num("fault_core", 0);
+            }
         }
-        None => {
-            l.str_field("fault", "none");
-            l.num_field("trigger", 0);
-            l.num_field("fault_core", 0);
-        }
-    }
-    l.end();
+    });
 }
 
 /// Renders one tenant's spec record.
@@ -271,14 +147,15 @@ pub(crate) fn render_checkpoint_into(
     stalled: u64,
     cycles: u64,
 ) {
+    out.clear();
     out.reserve(128 + name.len());
-    let mut l = Line::start(out);
-    l.num_field("tick", tick);
-    l.str_field("tenant", name);
-    l.num_field("retired", retired);
-    l.num_field("stalled", stalled);
-    l.num_field("cycles", cycles);
-    l.end();
+    json::object(out, |l| {
+        l.num("tick", tick);
+        l.str("tenant", name);
+        l.num("retired", retired);
+        l.num("stalled", stalled);
+        l.num("cycles", cycles);
+    });
 }
 
 /// Renders one progress checkpoint record.
@@ -319,19 +196,20 @@ pub(crate) struct TerminalInfo<'a> {
 
 /// Renders one terminal record into `out` (cleared first).
 pub(crate) fn render_terminal_into(out: &mut String, name: &str, info: &TerminalInfo<'_>) {
+    out.clear();
     out.reserve(224 + name.len() + info.detail.len() * 6);
-    let mut l = Line::start(out);
-    l.num_field("tick", info.tick);
-    l.str_field("tenant", name);
-    l.str_field("status", info.status.name());
-    l.num_field("retired", info.retired);
-    l.num_field("stalled", info.stalled);
-    l.num_field("cycles", info.cycles);
-    l.opt_num_field("fired_at", info.fired_at);
-    l.num_field("l2_misses", info.l2_misses);
-    l.num_field("vd_hits", info.vd_hits);
-    l.str_field("detail", info.detail);
-    l.end();
+    json::object(out, |l| {
+        l.num("tick", info.tick);
+        l.str("tenant", name);
+        l.str("status", info.status.name());
+        l.num("retired", info.retired);
+        l.num("stalled", info.stalled);
+        l.num("cycles", info.cycles);
+        l.opt_num("fired_at", info.fired_at);
+        l.num("l2_misses", info.l2_misses);
+        l.num("vd_hits", info.vd_hits);
+        l.str("detail", info.detail);
+    });
 }
 
 /// Renders one terminal record.
@@ -343,24 +221,19 @@ pub(crate) fn render_terminal(name: &str, info: &TerminalInfo<'_>) -> String {
 
 // --- parsing / resume planning --------------------------------------
 
-fn get_num(fields: &[(&str, Prim<'_>)], key: &str) -> Option<u64> {
-    fields.iter().find_map(|(k, v)| match v {
-        Prim::Num(n) if *k == key => Some(*n),
-        _ => None,
-    })
-}
-
-fn get_str<'a>(fields: &[(&'a str, Prim<'a>)], key: &str) -> Option<&'a str> {
-    fields.iter().find_map(|(k, v)| match v {
-        Prim::Str(s) if *k == key => Some(*s),
-        _ => None,
-    })
-}
-
-/// Extracts one numeric field from a record line (used to recover
-/// counters from spliced ghost records).
-pub(crate) fn parsed_num(line: &str, key: &str) -> Option<u64> {
-    scan_top_level(line).and_then(|fields| get_num(&fields, key))
+/// A kept record spliced for a ghost tenant, with the counters the
+/// replay does not recompute, as recorded in the line.
+pub(crate) struct Spliced {
+    /// The kept line, verbatim.
+    pub line: String,
+    /// Recorded `cycles` (0 when absent).
+    pub cycles: u64,
+    /// Recorded `fired_at` (`None` when `null` or absent).
+    pub fired_at: Option<u64>,
+    /// Recorded `l2_misses` (0 when absent).
+    pub l2_misses: u64,
+    /// Recorded `vd_hits` (0 when absent).
+    pub vd_hits: u64,
 }
 
 /// A tenant whose terminal record survived in the journal prefix: its
@@ -519,16 +392,20 @@ fn classify_record(
     last_tick: u64,
     ghost: &[Option<GhostEnd>],
 ) -> Result<(u64, usize, Option<TenantStatus>), String> {
-    let fields =
-        scan_top_level(line).ok_or_else(|| "malformed record before end of file".to_string())?;
-    if get_str(&fields, "schema").is_some() {
+    let fields = json::scan_top_level(line)
+        .ok_or_else(|| "malformed record before end of file".to_string())?;
+    if fields.str("schema").is_some() {
         return Err("unexpected second header record".to_string());
     }
-    if get_str(&fields, "workload").is_some() {
+    if fields.str("workload").is_some() {
         return Err("unexpected extra spec record".to_string());
     }
-    let tick = get_num(&fields, "tick").ok_or_else(|| "record missing `tick`".to_string())?;
-    let name = get_str(&fields, "tenant").ok_or_else(|| "record missing `tenant`".to_string())?;
+    let tick = fields
+        .num("tick")
+        .ok_or_else(|| "record missing `tick`".to_string())?;
+    let name = fields
+        .str("tenant")
+        .ok_or_else(|| "record missing `tenant`".to_string())?;
     let tenant = cfg
         .tenants
         .iter()
@@ -541,11 +418,11 @@ fn classify_record(
         return Err("out-of-order record".to_string());
     }
     for counter in ["retired", "stalled", "cycles"] {
-        if get_num(&fields, counter).is_none() {
+        if fields.num(counter).is_none() {
             return Err(format!("record missing `{counter}`"));
         }
     }
-    let terminal = match get_str(&fields, "status") {
+    let terminal = match fields.str("status") {
         None => None,
         Some(s) => {
             Some(TenantStatus::parse(s).ok_or_else(|| format!("unknown terminal status `{s}`"))?)
@@ -722,10 +599,11 @@ impl<'a> JournalSink<'a> {
     /// Splices the next kept line for ghost tenant `name`, checking the
     /// fields the replay recomputes (`tick`, `tenant`, `retired`,
     /// `stalled`, and terminal status presence/value). Counters the
-    /// replay does not recompute (`cycles`, machine stats, `detail`)
-    /// come out of the kept line itself; in binary mode the record is
-    /// re-encoded canonically from those parsed fields. Returns the
-    /// spliced line.
+    /// replay does not recompute (`cycles`, `fired_at`, machine stats)
+    /// come out of the kept line itself, scanned once; in binary mode
+    /// the record is re-encoded canonically from those parsed fields
+    /// (rendering is canonical, so it decodes back to exactly the
+    /// spliced line).
     ///
     /// # Errors
     ///
@@ -739,27 +617,59 @@ impl<'a> JournalSink<'a> {
         retired: u64,
         stalled: u64,
         terminal: Option<TenantStatus>,
-    ) -> Result<String, ServeError> {
+    ) -> Result<Spliced, ServeError> {
         let Some(line) = self.kept.get(self.cursor).cloned() else {
             return Err(ServeError::Corrupt(format!(
                 "journal ended before tenant `{name}` finished its replayed records"
             )));
         };
-        let ok = scan_top_level(&line).is_some_and(|fields| {
-            get_num(&fields, "tick") == Some(tick)
-                && get_str(&fields, "tenant") == Some(name)
-                && get_num(&fields, "retired") == Some(retired)
-                && get_num(&fields, "stalled") == Some(stalled)
-                && get_str(&fields, "status") == terminal.map(TenantStatus::name)
-        });
-        if !ok {
-            return Err(corrupt(
+        let diverges = || {
+            corrupt(
                 self.cursor + 1,
                 "kept record diverges from the replayed schedule",
-            ));
+            )
+        };
+        let fields = json::scan_top_level(&line).ok_or_else(diverges)?;
+        if fields.num("tick") != Some(tick)
+            || fields.str("tenant") != Some(name)
+            || fields.num("retired") != Some(retired)
+            || fields.num("stalled") != Some(stalled)
+            || fields.str("status") != terminal.map(TenantStatus::name)
+        {
+            return Err(diverges());
         }
+        let cycles = fields.num("cycles").unwrap_or(0);
+        let fired_at = fields.num("fired_at");
+        let l2_misses = fields.num("l2_misses").unwrap_or(0);
+        let vd_hits = fields.num("vd_hits").unwrap_or(0);
         if self.format == JournalFormat::Binary {
-            self.encode_ghost(&line, tenant, tick, retired, stalled, terminal)?;
+            let tenant = tenant as u64;
+            match terminal {
+                None => {
+                    codec::enc_checkpoint(&mut self.frame, tenant, tick, retired, stalled, cycles)
+                }
+                Some(status) => {
+                    let detail =
+                        json::unescape(fields.str("detail").unwrap_or("")).ok_or_else(|| {
+                            corrupt(
+                                self.cursor + 1,
+                                "ghost terminal record detail field does not unescape",
+                            )
+                        })?;
+                    let info = TerminalInfo {
+                        tick,
+                        status,
+                        retired,
+                        stalled,
+                        cycles,
+                        fired_at,
+                        l2_misses,
+                        vd_hits,
+                        detail: &detail,
+                    };
+                    codec::enc_terminal(&mut self.frame, tenant, &info);
+                }
+            }
         }
         self.buf.clear();
         self.buf.push_str(&line);
@@ -767,57 +677,13 @@ impl<'a> JournalSink<'a> {
         if self.format == JournalFormat::Jsonl {
             self.write_text_line()?;
         }
-        Ok(line)
-    }
-
-    /// Re-encodes a spliced ghost line into the pending binary frame.
-    /// Rendering is canonical (one line per record content), so the
-    /// re-encoded record decodes back to exactly the spliced line.
-    fn encode_ghost(
-        &mut self,
-        line: &str,
-        tenant: usize,
-        tick: u64,
-        retired: u64,
-        stalled: u64,
-        terminal: Option<TenantStatus>,
-    ) -> Result<(), ServeError> {
-        let fields = scan_top_level(line).unwrap_or_default();
-        let cycles = get_num(&fields, "cycles").unwrap_or(0);
-        match terminal {
-            None => {
-                codec::enc_checkpoint(
-                    &mut self.frame,
-                    tenant as u64,
-                    tick,
-                    retired,
-                    stalled,
-                    cycles,
-                );
-            }
-            Some(status) => {
-                let detail_raw = get_str(&fields, "detail").unwrap_or("");
-                let detail = unescape(detail_raw).ok_or_else(|| {
-                    corrupt(
-                        self.cursor + 1,
-                        "ghost terminal record detail field does not unescape",
-                    )
-                })?;
-                let info = TerminalInfo {
-                    tick,
-                    status,
-                    retired,
-                    stalled,
-                    cycles,
-                    fired_at: get_num(&fields, "fired_at"),
-                    l2_misses: get_num(&fields, "l2_misses").unwrap_or(0),
-                    vd_hits: get_num(&fields, "vd_hits").unwrap_or(0),
-                    detail: &detail,
-                };
-                codec::enc_terminal(&mut self.frame, tenant as u64, &info);
-            }
-        }
-        Ok(())
+        Ok(Spliced {
+            line,
+            cycles,
+            fired_at,
+            l2_misses,
+            vd_hits,
+        })
     }
 
     /// Delivers the pending frame (binary group commit): one write plus
@@ -879,40 +745,12 @@ mod tests {
         };
         let line = render_terminal("t\"0", &info);
         assert!(!line.contains('\n'));
-        let fields = scan_top_level(&line).expect("terminal record parses");
-        assert_eq!(get_num(&fields, "tick"), Some(7));
-        assert_eq!(get_str(&fields, "status"), Some("panicked"));
+        let fields = json::scan_top_level(&line).expect("terminal record parses");
+        assert_eq!(fields.num("tick"), Some(7));
+        assert_eq!(fields.str("status"), Some("panicked"));
         // fired_at:null parses as Other, not Num.
-        assert_eq!(get_num(&fields, "fired_at"), None);
-    }
-
-    #[test]
-    fn push_u64_matches_display() {
-        for v in [0u64, 1, 9, 10, 12345, u64::MAX] {
-            let mut s = String::new();
-            push_u64(&mut s, v);
-            assert_eq!(s, v.to_string());
-        }
-    }
-
-    #[test]
-    fn unescape_inverts_push_escaped() {
-        let hostile = [
-            "",
-            "plain",
-            "quote \" slash \\ newline \n cr \r tab \t",
-            "control \u{1} \u{1f} end",
-            "unicode \u{00e9}\u{4e16}\u{1f600}",
-        ];
-        for s in hostile {
-            let mut escaped = String::new();
-            push_escaped(&mut escaped, s);
-            assert_eq!(unescape(&escaped).as_deref(), Some(s), "for {s:?}");
-        }
-        // Text no renderer produces is rejected, not mangled.
-        assert_eq!(unescape("\\q"), None);
-        assert_eq!(unescape("tail\\"), None);
-        assert_eq!(unescape("\\u00"), None);
-        assert_eq!(unescape("\\u00zz"), None);
+        assert_eq!(fields.num("fired_at"), None);
+        let detail = json::unescape(fields.str("detail").unwrap());
+        assert_eq!(detail.as_deref(), Some(info.detail));
     }
 }

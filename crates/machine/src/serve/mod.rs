@@ -451,6 +451,7 @@ impl Driver<'_, '_, '_> {
             let record = if self.ghost[i].is_some() {
                 self.journal
                     .emit_ghost(i, &spec.name, 0, 0, 0, Some(TenantStatus::Shed))?
+                    .line
             } else {
                 let info = TerminalInfo {
                     tick: 0,
@@ -660,7 +661,7 @@ impl Driver<'_, '_, '_> {
                 Some((status, detail)) => {
                     let mut fired = rt.machine.as_ref().and_then(Machine::fault_fired);
                     let (record, cycles, l2_misses, vd_hits) = if rt.ghost {
-                        let line = self.journal.emit_ghost(
+                        let spliced = self.journal.emit_ghost(
                             i,
                             &spec.name,
                             self.tick,
@@ -670,11 +671,13 @@ impl Driver<'_, '_, '_> {
                         )?;
                         // Counters a ghost replay does not recompute come
                         // back out of the spliced record itself.
-                        let cycles = journal::parsed_num(&line, "cycles").unwrap_or(0);
-                        let l2 = journal::parsed_num(&line, "l2_misses").unwrap_or(0);
-                        let vd = journal::parsed_num(&line, "vd_hits").unwrap_or(0);
-                        fired = journal::parsed_num(&line, "fired_at");
-                        (line, cycles, l2, vd)
+                        fired = spliced.fired_at;
+                        (
+                            spliced.line,
+                            spliced.cycles,
+                            spliced.l2_misses,
+                            spliced.vd_hits,
+                        )
                     } else {
                         let (l2_misses, vd_hits) = rt
                             .machine

@@ -21,6 +21,7 @@
 mod addr;
 mod hash;
 mod inline_vec;
+pub mod json;
 mod rng;
 
 pub use addr::{CoreId, LineAddr, PhysAddr, SliceId, LINE_BYTES, LINE_OFFSET_BITS};

@@ -24,6 +24,7 @@ pub mod waiver;
 pub use rules::FileClass;
 
 use rules::Finding;
+use secdir_mem::json;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -281,16 +282,19 @@ pub fn render_json(report: &LintReport) -> String {
     out.push_str("  \"findings\": [");
     for (i, d) in report.findings.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str("    {\"file\": \"");
+        json::escape_into(&mut out, &d.file.to_string_lossy().replace('\\', "/"));
         out.push_str(&format!(
-            "    {{\"file\": \"{}\", \"line\": {}, \"col\": {}, \"rule\": \"{}\", \
-             \"severity\": \"{}\", \"message\": \"{}\"}}",
-            json_escape(&d.file.to_string_lossy().replace('\\', "/")),
-            d.line,
-            d.col,
-            json_escape(d.rule),
-            d.severity,
-            json_escape(&d.message)
+            "\", \"line\": {}, \"col\": {}, \"rule\": \"",
+            d.line, d.col
         ));
+        json::escape_into(&mut out, d.rule);
+        out.push_str(&format!(
+            "\", \"severity\": \"{}\", \"message\": \"",
+            d.severity
+        ));
+        json::escape_into(&mut out, &d.message);
+        out.push_str("\"}");
     }
     if report.findings.is_empty() {
         out.push_str("],\n");
@@ -299,29 +303,14 @@ pub fn render_json(report: &LintReport) -> String {
     }
     out.push_str("  \"files\": [");
     for (i, f) in report.files.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!("    \"{}\"", json_escape(f)));
+        out.push_str(if i == 0 { "\n    \"" } else { ",\n    \"" });
+        json::escape_into(&mut out, f);
+        out.push('"');
     }
     if report.files.is_empty() {
         out.push_str("]\n}\n");
     } else {
         out.push_str("\n  ]\n}\n");
-    }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
     out
 }

@@ -43,7 +43,7 @@ use secdir_machine::{
     run_workload, run_workload_sliced, AccessStream, DirectoryKind, Machine, MachineConfig,
     ServedBy,
 };
-use secdir_mem::{CoreId, LineAddr};
+use secdir_mem::{json, CoreId, LineAddr};
 use secdir_workloads::aes::AesVictim;
 use secdir_workloads::parsec::ParsecApp;
 use secdir_workloads::registry;
@@ -1004,30 +1004,25 @@ fn write_serve_bench(
             .iter()
             .filter(|(_, o)| o.status == TenantStatus::Done)
             .count();
+        let row = json::line(|r| {
+            r.str("schema", "secdir-bench-serve/2");
+            r.str("directory", kind.name());
+            r.num("tenants", picked.len() as u64);
+            r.num("done", done as u64);
+            r.num("retired", sum(&|o| o.retired));
+            r.num("stalled", sum(&|o| o.stalled));
+            r.num("cycles", sum(&|o| o.cycles));
+            r.num("l2_misses", sum(&|o| o.l2_misses));
+            r.num("vd_hits", sum(&|o| o.vd_hits));
+            r.num("ticks", report.ticks);
+            r.num("workers", cfg.workers as u64);
+            r.str("format", cfg.format.name());
+            r.num_u128("nanos", nanos);
+            r.num("retired_per_sec", retired_per_sec);
+            r.num("journal_bytes", report.journal_bytes);
+        });
         use std::io::Write as _;
-        writeln!(
-            w,
-            "{{\"schema\":\"secdir-bench-serve/2\",\"directory\":\"{}\",\
-             \"tenants\":{},\"done\":{},\"retired\":{},\"stalled\":{},\
-             \"cycles\":{},\"l2_misses\":{},\"vd_hits\":{},\"ticks\":{},\
-             \"workers\":{},\"format\":\"{}\",\"nanos\":{},\
-             \"retired_per_sec\":{},\"journal_bytes\":{}}}",
-            kind.name(),
-            picked.len(),
-            done,
-            sum(&|o| o.retired),
-            sum(&|o| o.stalled),
-            sum(&|o| o.cycles),
-            sum(&|o| o.l2_misses),
-            sum(&|o| o.vd_hits),
-            report.ticks,
-            cfg.workers,
-            cfg.format.name(),
-            nanos,
-            retired_per_sec,
-            report.journal_bytes,
-        )
-        .map_err(|e| e.to_string())?;
+        writeln!(w, "{row}").map_err(|e| e.to_string())?;
         w.flush().map_err(|e| e.to_string())?;
     }
     Ok(())
