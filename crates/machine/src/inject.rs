@@ -114,7 +114,7 @@ impl FaultKind {
 }
 
 /// One armed fault: what to inject, when, and against which core.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultPlan {
     /// The bug to inject.
     pub kind: FaultKind,

@@ -7,14 +7,12 @@
 //! [payload_len: varint] [payload: payload_len bytes] [crc32(payload): 4 bytes LE]
 //! ```
 //!
-//! The payload is a back-to-back run of **records**, each a one-byte
-//! type tag followed by varint-packed fields (strings are a varint
-//! length plus UTF-8 bytes). The record set mirrors the JSONL journal
-//! one-to-one — header, tenant spec, checkpoint, terminal — and
-//! [`decode_journal`] re-renders each record through the *same*
-//! rendering functions the JSONL writer uses (built on the shared
-//! [`secdir_mem::json`] writer), so decoding a binary journal reproduces
-//! the JSONL journal byte-for-byte.
+//! The payload is a back-to-back run of journal [`Record`]s, each a
+//! one-byte type tag followed by varint-packed fields (strings are a
+//! varint length plus UTF-8 bytes). [`encode`] writes a record into a
+//! frame and [`decode`] hands the records of a byte stream back as the
+//! same values; neither knows about JSONL, which is just the other way
+//! `journal` writes a record.
 //!
 //! Framing is the durability and crash-recovery unit: the writer
 //! buffers all records emitted in one scheduler tick into one frame and
@@ -28,16 +26,16 @@
 //! record that does not tile the payload exactly — is a hard
 //! [`ServeError::Corrupt`]: truncation is the only corruption a crash
 //! can produce, so everything else means the bytes cannot be trusted.
+//! No allocation is sized from a length prefix: a string is copied out
+//! only once all of its bytes are inside a checksum-valid frame.
 //!
 //! Varints are LEB128, and the decoder enforces the *minimal* encoding
 //! (a multi-byte varint must not end in a zero group): every value has
 //! exactly one valid byte representation, which is what lets a resumed
 //! run re-encode replayed records and produce a byte-identical file.
 
-use super::journal::{
-    render_checkpoint, render_header, render_spec, render_terminal, ServeError, TerminalInfo,
-};
-use super::{ServeConfig, TenantSpec, TenantStatus};
+use super::journal::{Checkpoint, HeaderRec, Record, ServeError, Terminal, MAX_NAME};
+use super::{TenantSpec, TenantStatus};
 use crate::inject::{FaultKind, FaultPlan};
 use crate::DirectoryKind;
 use secdir_mem::CoreId;
@@ -87,72 +85,6 @@ const REC_HEADER: u8 = 1;
 const REC_SPEC: u8 = 2;
 const REC_CHECKPOINT: u8 = 3;
 const REC_TERMINAL: u8 = 4;
-
-/// The scheduling-configuration scalars pinned by the journal header
-/// record — the shared source for both the JSONL rendering and the
-/// binary encoding of record type 1.
-pub(crate) struct HeaderRec {
-    /// Tenant count (and the number of spec records that follow).
-    pub tenants: u64,
-    /// See [`ServeConfig::pool`].
-    pub pool: u64,
-    /// See [`ServeConfig::queue_cap`].
-    pub queue_cap: u64,
-    /// See [`ServeConfig::global_cap`].
-    pub global_cap: u64,
-    /// See [`ServeConfig::ingest`].
-    pub ingest: u64,
-    /// See [`ServeConfig::drain`].
-    pub drain: u64,
-    /// See [`ServeConfig::idle_timeout`].
-    pub idle_timeout: u64,
-    /// See [`ServeConfig::checkpoint_interval`].
-    pub checkpoint_interval: u64,
-    /// See [`ServeConfig::max_waiting`].
-    pub max_waiting: u64,
-    /// See [`ServeConfig::burst_on_max`].
-    pub burst_on: u64,
-    /// See [`ServeConfig::burst_off_max`].
-    pub burst_off: u64,
-    /// See [`ServeConfig::final_audit`].
-    pub audit: bool,
-}
-
-impl HeaderRec {
-    /// The header record a run over `cfg` writes.
-    pub(crate) fn of(cfg: &ServeConfig) -> HeaderRec {
-        HeaderRec {
-            tenants: cfg.tenants.len() as u64,
-            pool: cfg.pool as u64,
-            queue_cap: cfg.queue_cap as u64,
-            global_cap: cfg.global_cap,
-            ingest: cfg.ingest,
-            drain: cfg.drain,
-            idle_timeout: cfg.idle_timeout,
-            checkpoint_interval: cfg.checkpoint_interval,
-            max_waiting: cfg.max_waiting as u64,
-            burst_on: cfg.burst_on_max,
-            burst_off: cfg.burst_off_max,
-            audit: cfg.final_audit,
-        }
-    }
-
-    fn scalars(&self) -> [u64; 11] {
-        [
-            self.tenants,
-            self.pool,
-            self.queue_cap,
-            self.global_cap,
-            self.ingest,
-            self.drain,
-            self.idle_timeout,
-            self.checkpoint_interval,
-            self.max_waiting,
-            self.burst_on,
-            self.burst_off,
-        ]
-    }
-}
 
 // --- varints and checksums ------------------------------------------
 
@@ -278,71 +210,74 @@ fn status_index(s: TenantStatus) -> u64 {
     TenantStatus::ALL.iter().position(|&x| x == s).unwrap_or(0) as u64
 }
 
-/// Appends the header record to a frame under construction.
-pub(crate) fn enc_header(frame: &mut Vec<u8>, h: &HeaderRec) {
-    frame.push(REC_HEADER);
-    for v in h.scalars() {
-        put_uv(frame, v);
-    }
-    frame.push(u8::from(h.audit));
-}
-
-/// Appends one tenant's spec record. The fault field is a tag varint:
-/// 0 for no fault, `1 + FaultKind index` followed by trigger and core
-/// otherwise.
-pub(crate) fn enc_spec(frame: &mut Vec<u8>, spec: &TenantSpec) {
-    frame.push(REC_SPEC);
-    put_str(frame, &spec.name);
-    put_str(frame, &spec.workload);
-    put_uv(frame, kind_index(spec.kind));
-    put_uv(frame, spec.seed);
-    put_uv(frame, spec.cores as u64);
-    put_uv(frame, spec.refs);
-    match spec.fault {
-        None => put_uv(frame, 0),
-        Some(plan) => {
-            put_uv(frame, 1 + fault_index(plan.kind));
-            put_uv(frame, plan.trigger);
-            put_uv(frame, plan.core.0 as u64);
+/// Appends one record to a frame under construction. A spec's fault is
+/// a tag varint: 0 for no fault, `1 + FaultKind index` followed by
+/// trigger and core otherwise; a terminal's `fired_at` is a presence tag
+/// (0/1) followed by the value when present, mirroring the JSONL `null`.
+pub(crate) fn encode(frame: &mut Vec<u8>, rec: &Record) {
+    match rec {
+        Record::Header(h) => {
+            frame.push(REC_HEADER);
+            for v in [
+                h.tenants,
+                h.pool,
+                h.queue_cap,
+                h.global_cap,
+                h.ingest,
+                h.drain,
+                h.idle_timeout,
+                h.checkpoint_interval,
+                h.max_waiting,
+                h.burst_on,
+                h.burst_off,
+            ] {
+                put_uv(frame, v);
+            }
+            frame.push(u8::from(h.audit));
+        }
+        Record::Spec(spec) => {
+            frame.push(REC_SPEC);
+            put_str(frame, &spec.name);
+            put_str(frame, &spec.workload);
+            put_uv(frame, kind_index(spec.kind));
+            put_uv(frame, spec.seed);
+            put_uv(frame, spec.cores as u64);
+            put_uv(frame, spec.refs);
+            match spec.fault {
+                None => put_uv(frame, 0),
+                Some(plan) => {
+                    put_uv(frame, 1 + fault_index(plan.kind));
+                    put_uv(frame, plan.trigger);
+                    put_uv(frame, plan.core.0 as u64);
+                }
+            }
+        }
+        Record::Checkpoint(c) => {
+            frame.push(REC_CHECKPOINT);
+            for v in [c.tenant as u64, c.tick, c.retired, c.stalled, c.cycles] {
+                put_uv(frame, v);
+            }
+        }
+        Record::Terminal(t) => {
+            frame.push(REC_TERMINAL);
+            put_uv(frame, t.tenant as u64);
+            put_uv(frame, t.tick);
+            put_uv(frame, status_index(t.status));
+            put_uv(frame, t.retired);
+            put_uv(frame, t.stalled);
+            put_uv(frame, t.cycles);
+            match t.fired_at {
+                None => put_uv(frame, 0),
+                Some(v) => {
+                    put_uv(frame, 1);
+                    put_uv(frame, v);
+                }
+            }
+            put_uv(frame, t.l2_misses);
+            put_uv(frame, t.vd_hits);
+            put_str(frame, &t.detail);
         }
     }
-}
-
-/// Appends one checkpoint record (`tenant` is the spec index).
-pub(crate) fn enc_checkpoint(
-    frame: &mut Vec<u8>,
-    tenant: u64,
-    tick: u64,
-    retired: u64,
-    stalled: u64,
-    cycles: u64,
-) {
-    frame.push(REC_CHECKPOINT);
-    for v in [tenant, tick, retired, stalled, cycles] {
-        put_uv(frame, v);
-    }
-}
-
-/// Appends one terminal record. `fired_at` is a presence tag (0/1)
-/// followed by the value when present, mirroring the JSONL `null`.
-pub(crate) fn enc_terminal(frame: &mut Vec<u8>, tenant: u64, info: &TerminalInfo<'_>) {
-    frame.push(REC_TERMINAL);
-    put_uv(frame, tenant);
-    put_uv(frame, info.tick);
-    put_uv(frame, status_index(info.status));
-    put_uv(frame, info.retired);
-    put_uv(frame, info.stalled);
-    put_uv(frame, info.cycles);
-    match info.fired_at {
-        None => put_uv(frame, 0),
-        Some(v) => {
-            put_uv(frame, 1);
-            put_uv(frame, v);
-        }
-    }
-    put_uv(frame, info.l2_misses);
-    put_uv(frame, info.vd_hits);
-    put_str(frame, info.detail);
 }
 
 /// Writes one complete frame — length prefix, payload, checksum — and
@@ -360,43 +295,29 @@ pub(crate) fn write_frame(sink: &mut dyn Write, frame: &[u8]) -> io::Result<u64>
 
 // --- decoding -------------------------------------------------------
 
-/// A binary journal decoded back to JSONL.
-pub struct DecodedJournal {
-    /// The journal's records as JSONL lines, byte-identical to what a
-    /// `--format jsonl` run over the same schedule writes.
-    pub lines: Vec<String>,
-    /// Whether the file ended in a torn (incomplete) frame, whose bytes
-    /// were discarded — the binary analogue of a truncated final line.
-    pub torn: bool,
-}
-
-fn corrupt(msg: &str) -> ServeError {
-    ServeError::Corrupt(msg.to_string())
-}
-
 fn corrupt_at(off: usize, msg: &str) -> ServeError {
     ServeError::Corrupt(format!("journal byte {off}: {msg}"))
 }
 
 /// Decoder state threaded across frames: record ordering and the
-/// tenant-name table indices resolve against.
+/// tenant count indices resolve against.
 struct DecodeState {
-    /// Spec-record names, in index order.
-    names: Vec<String>,
     /// Tenant count promised by the header.
     tenants: u64,
+    /// Spec records seen so far.
+    specs: u64,
     /// A checkpoint/terminal record has been seen (specs are closed).
     records_started: bool,
     /// The header record has been seen.
     saw_header: bool,
 }
 
-/// Decodes a complete `secdir-journal/1` byte stream to JSONL lines.
+/// Decodes a `secdir-journal/1` byte stream, handing each record of
+/// each complete, checksum-valid frame to `each`, in order, and
+/// stopping at the first error `each` returns.
 ///
-/// Complete, checksum-valid frames are decoded in order; a tail that
-/// ends mid-frame (an interrupted write) is discarded and reported via
-/// [`DecodedJournal::torn`]. An empty input decodes to an empty
-/// journal.
+/// Returns whether the stream ended in a torn (incomplete) frame, whose
+/// bytes are discarded. An empty input is an empty journal.
 ///
 /// # Errors
 ///
@@ -405,28 +326,23 @@ struct DecodeState {
 /// frame (unknown type, non-minimal varint, out-of-range index, text
 /// that is not UTF-8, records that do not tile the payload exactly, or
 /// records out of header → specs → stream order).
-pub fn decode_journal(bytes: &[u8]) -> Result<DecodedJournal, ServeError> {
-    let mut out = DecodedJournal {
-        lines: Vec::new(),
-        torn: false,
-    };
-    if bytes.is_empty() {
-        return Ok(out);
-    }
-    if bytes.len() < MAGIC.len() {
+pub(crate) fn decode(
+    bytes: &[u8],
+    mut each: impl FnMut(Record) -> Result<(), ServeError>,
+) -> Result<bool, ServeError> {
+    if !bytes.starts_with(&MAGIC) {
+        // A file cut inside the magic is a torn write as well.
         if MAGIC.starts_with(bytes) {
-            out.torn = true;
-            return Ok(out);
+            return Ok(!bytes.is_empty());
         }
-        return Err(corrupt("not a secdir binary journal (bad magic)"));
-    }
-    if bytes[..MAGIC.len()] != MAGIC {
-        return Err(corrupt("not a secdir binary journal (bad magic)"));
+        return Err(ServeError::Corrupt(
+            "not a secdir binary journal (bad magic)".to_string(),
+        ));
     }
     let mut off = MAGIC.len();
     let mut st = DecodeState {
-        names: Vec::new(),
         tenants: 0,
+        specs: 0,
         records_started: false,
         saw_header: false,
     };
@@ -434,10 +350,7 @@ pub fn decode_journal(bytes: &[u8]) -> Result<DecodedJournal, ServeError> {
         let frame_start = off;
         let len = match get_uv(bytes, &mut off) {
             Uv::Val(v) => v,
-            Uv::Eof => {
-                out.torn = true;
-                break;
-            }
+            Uv::Eof => return Ok(true),
             Uv::Malformed => return Err(corrupt_at(frame_start, "malformed frame length")),
         };
         if len == 0 || len > MAX_FRAME {
@@ -445,14 +358,12 @@ pub fn decode_journal(bytes: &[u8]) -> Result<DecodedJournal, ServeError> {
         }
         let len = len as usize;
         let Some(rest) = bytes.get(off..) else {
-            out.torn = true;
-            break;
+            return Ok(true);
         };
         if rest.len() < len + 4 {
             // The frame body or its checksum is cut off: an interrupted
             // write, not corruption.
-            out.torn = true;
-            break;
+            return Ok(true);
         }
         let payload = &rest[..len];
         let want = u32::from_le_bytes([rest[len], rest[len + 1], rest[len + 2], rest[len + 3]]);
@@ -460,9 +371,12 @@ pub fn decode_journal(bytes: &[u8]) -> Result<DecodedJournal, ServeError> {
             return Err(corrupt_at(frame_start, "frame checksum mismatch"));
         }
         off += len + 4;
-        st.decode_frame(payload, frame_start, &mut out.lines)?;
+        let mut at = 0usize;
+        while at < payload.len() {
+            each(st.record(payload, &mut at, frame_start)?)?;
+        }
     }
-    Ok(out)
+    Ok(false)
 }
 
 impl DecodeState {
@@ -475,10 +389,17 @@ impl DecodeState {
         }
     }
 
-    /// Reads one length-prefixed UTF-8 string.
+    /// Reads one varint that indexes an in-memory table.
+    fn index(&self, payload: &[u8], off: &mut usize, at: usize) -> Result<usize, ServeError> {
+        usize::try_from(self.uv(payload, off, at)?)
+            .map_err(|_| corrupt_at(at, "implausible index or count"))
+    }
+
+    /// Reads one length-prefixed UTF-8 string. The length is checked
+    /// against the bytes actually in the payload before anything is
+    /// allocated.
     fn str(&self, payload: &[u8], off: &mut usize, at: usize) -> Result<String, ServeError> {
-        let len = self.uv(payload, off, at)?;
-        let len = usize::try_from(len).map_err(|_| corrupt_at(at, "implausible string length"))?;
+        let len = self.index(payload, off, at)?;
         let end = off
             .checked_add(len)
             .filter(|&e| e <= payload.len())
@@ -489,214 +410,136 @@ impl DecodeState {
         Ok(s.to_string())
     }
 
-    /// Resolves a tenant index against the spec-name table.
-    fn tenant(&self, idx: u64, at: usize) -> Result<usize, ServeError> {
-        usize::try_from(idx)
-            .ok()
-            .filter(|&i| i < self.names.len())
-            .ok_or_else(|| corrupt_at(at, "record references an unknown tenant index"))
-    }
-
-    /// Decodes every record in one frame payload onto `lines`.
-    fn decode_frame(
-        &mut self,
-        payload: &[u8],
-        at: usize,
-        lines: &mut Vec<String>,
-    ) -> Result<(), ServeError> {
-        let mut off = 0usize;
-        while off < payload.len() {
-            let tag = payload[off];
-            off += 1;
-            match tag {
-                REC_HEADER => self.rec_header(payload, &mut off, at, lines)?,
-                REC_SPEC => self.rec_spec(payload, &mut off, at, lines)?,
-                REC_CHECKPOINT => self.rec_checkpoint(payload, &mut off, at, lines)?,
-                REC_TERMINAL => self.rec_terminal(payload, &mut off, at, lines)?,
-                _ => return Err(corrupt_at(at, "unknown record type inside frame")),
-            }
-        }
-        Ok(())
-    }
-
-    fn rec_header(
-        &mut self,
-        payload: &[u8],
-        off: &mut usize,
-        at: usize,
-        lines: &mut Vec<String>,
-    ) -> Result<(), ServeError> {
-        if self.saw_header {
-            return Err(corrupt_at(at, "duplicate header record"));
-        }
-        let mut scalars = [0u64; 11];
-        for slot in &mut scalars {
-            *slot = self.uv(payload, off, at)?;
-        }
-        let audit = match payload.get(*off) {
-            Some(0) => false,
-            Some(1) => true,
-            _ => return Err(corrupt_at(at, "malformed header audit flag")),
-        };
-        *off += 1;
-        let [tenants, pool, queue_cap, global_cap, ingest, drain, idle_timeout, checkpoint_interval, max_waiting, burst_on, burst_off] =
-            scalars;
-        let h = HeaderRec {
-            tenants,
-            pool,
-            queue_cap,
-            global_cap,
-            ingest,
-            drain,
-            idle_timeout,
-            checkpoint_interval,
-            max_waiting,
-            burst_on,
-            burst_off,
-            audit,
-        };
-        self.tenants = h.tenants;
-        self.saw_header = true;
-        lines.push(render_header(&h));
-        Ok(())
-    }
-
-    fn rec_spec(
-        &mut self,
-        payload: &[u8],
-        off: &mut usize,
-        at: usize,
-        lines: &mut Vec<String>,
-    ) -> Result<(), ServeError> {
-        if !self.saw_header {
-            return Err(corrupt_at(at, "spec record before the header"));
-        }
-        if self.records_started {
-            return Err(corrupt_at(at, "spec record after stream records"));
-        }
-        if self.names.len() as u64 >= self.tenants {
-            return Err(corrupt_at(at, "more spec records than the header promised"));
-        }
-        let name = self.str(payload, off, at)?;
-        let workload = self.str(payload, off, at)?;
-        let kind_idx = self.uv(payload, off, at)?;
-        let kind = usize::try_from(kind_idx)
-            .ok()
-            .and_then(|i| DirectoryKind::ALL.get(i).copied())
-            .ok_or_else(|| corrupt_at(at, "spec record directory index out of range"))?;
-        let seed = self.uv(payload, off, at)?;
-        let cores = usize::try_from(self.uv(payload, off, at)?)
-            .map_err(|_| corrupt_at(at, "implausible core count"))?;
-        let refs = self.uv(payload, off, at)?;
-        let fault = match self.uv(payload, off, at)? {
-            0 => None,
-            tag => {
-                let kind = usize::try_from(tag - 1)
-                    .ok()
-                    .and_then(|i| FaultKind::ALL.get(i).copied())
-                    .ok_or_else(|| corrupt_at(at, "spec record fault index out of range"))?;
-                let trigger = self.uv(payload, off, at)?;
-                let core = usize::try_from(self.uv(payload, off, at)?)
-                    .map_err(|_| corrupt_at(at, "implausible fault core"))?;
-                Some(FaultPlan {
-                    kind,
-                    trigger,
-                    core: CoreId(core),
-                })
-            }
-        };
-        let spec = TenantSpec {
-            name,
-            workload,
-            kind,
-            seed,
-            cores,
-            refs,
-            fault,
-        };
-        lines.push(render_spec(&spec));
-        self.names.push(spec.name);
-        Ok(())
-    }
-
-    /// Guards the specs → stream-records transition.
-    fn start_records(&mut self, at: usize) -> Result<(), ServeError> {
-        if (self.names.len() as u64) < self.tenants {
+    /// Reads a stream record's tenant index, checking the record order.
+    fn tenant(&mut self, payload: &[u8], off: &mut usize, at: usize) -> Result<usize, ServeError> {
+        if self.specs < self.tenants {
             return Err(corrupt_at(at, "stream record before all tenant specs"));
         }
         self.records_started = true;
-        Ok(())
+        let idx = self.uv(payload, off, at)?;
+        if idx >= self.specs {
+            return Err(corrupt_at(at, "record references an unknown tenant index"));
+        }
+        Ok(idx as usize)
     }
 
-    fn rec_checkpoint(
-        &mut self,
-        payload: &[u8],
-        off: &mut usize,
-        at: usize,
-        lines: &mut Vec<String>,
-    ) -> Result<(), ServeError> {
-        self.start_records(at)?;
-        let tenant = self.uv(payload, off, at)?;
-        let tenant = self.tenant(tenant, at)?;
-        let tick = self.uv(payload, off, at)?;
-        let retired = self.uv(payload, off, at)?;
-        let stalled = self.uv(payload, off, at)?;
-        let cycles = self.uv(payload, off, at)?;
-        lines.push(render_checkpoint(
-            &self.names[tenant],
-            tick,
-            retired,
-            stalled,
-            cycles,
-        ));
-        Ok(())
-    }
-
-    fn rec_terminal(
-        &mut self,
-        payload: &[u8],
-        off: &mut usize,
-        at: usize,
-        lines: &mut Vec<String>,
-    ) -> Result<(), ServeError> {
-        self.start_records(at)?;
-        let tenant = self.uv(payload, off, at)?;
-        let tenant = self.tenant(tenant, at)?;
-        let tick = self.uv(payload, off, at)?;
-        let status = usize::try_from(self.uv(payload, off, at)?)
-            .ok()
-            .and_then(|i| TenantStatus::ALL.get(i).copied())
-            .ok_or_else(|| corrupt_at(at, "terminal record status index out of range"))?;
-        let retired = self.uv(payload, off, at)?;
-        let stalled = self.uv(payload, off, at)?;
-        let cycles = self.uv(payload, off, at)?;
-        let fired_at = match self.uv(payload, off, at)? {
-            0 => None,
-            1 => Some(self.uv(payload, off, at)?),
-            _ => return Err(corrupt_at(at, "malformed fired_at presence tag")),
-        };
-        let l2_misses = self.uv(payload, off, at)?;
-        let vd_hits = self.uv(payload, off, at)?;
-        let detail = self.str(payload, off, at)?;
-        let info = TerminalInfo {
-            tick,
-            status,
-            retired,
-            stalled,
-            cycles,
-            fired_at,
-            l2_misses,
-            vd_hits,
-            detail: &detail,
-        };
-        lines.push(render_terminal(&self.names[tenant], &info));
-        Ok(())
+    /// Decodes the record at `*off` of one frame payload (`at` is the
+    /// frame's file offset, for messages).
+    fn record(&mut self, payload: &[u8], off: &mut usize, at: usize) -> Result<Record, ServeError> {
+        let tag = payload[*off];
+        *off += 1;
+        Ok(match tag {
+            REC_HEADER => {
+                if self.saw_header {
+                    return Err(corrupt_at(at, "duplicate header record"));
+                }
+                let mut scalars = [0u64; 11];
+                for slot in &mut scalars {
+                    *slot = self.uv(payload, off, at)?;
+                }
+                let audit = match payload.get(*off) {
+                    Some(0) => false,
+                    Some(1) => true,
+                    _ => return Err(corrupt_at(at, "malformed header audit flag")),
+                };
+                *off += 1;
+                let [tenants, pool, queue_cap, global_cap, ingest, drain, idle_timeout, checkpoint_interval, max_waiting, burst_on, burst_off] =
+                    scalars;
+                self.tenants = tenants;
+                self.saw_header = true;
+                Record::Header(HeaderRec {
+                    tenants,
+                    pool,
+                    queue_cap,
+                    global_cap,
+                    ingest,
+                    drain,
+                    idle_timeout,
+                    checkpoint_interval,
+                    max_waiting,
+                    burst_on,
+                    burst_off,
+                    audit,
+                })
+            }
+            REC_SPEC => {
+                if !self.saw_header {
+                    return Err(corrupt_at(at, "spec record before the header"));
+                }
+                if self.records_started {
+                    return Err(corrupt_at(at, "spec record after stream records"));
+                }
+                if self.specs >= self.tenants {
+                    return Err(corrupt_at(at, "more spec records than the header promised"));
+                }
+                let name = self.str(payload, off, at)?;
+                if name.len() > MAX_NAME {
+                    return Err(corrupt_at(at, "spec record tenant name is too long"));
+                }
+                let workload = self.str(payload, off, at)?;
+                let kind = DirectoryKind::ALL
+                    .get(self.index(payload, off, at)?)
+                    .copied()
+                    .ok_or_else(|| corrupt_at(at, "spec record directory index out of range"))?;
+                let seed = self.uv(payload, off, at)?;
+                let cores = self.index(payload, off, at)?;
+                let refs = self.uv(payload, off, at)?;
+                let fault = match self.index(payload, off, at)? {
+                    0 => None,
+                    tag => Some(FaultPlan {
+                        kind: FaultKind::ALL.get(tag - 1).copied().ok_or_else(|| {
+                            corrupt_at(at, "spec record fault index out of range")
+                        })?,
+                        trigger: self.uv(payload, off, at)?,
+                        core: CoreId(self.index(payload, off, at)?),
+                    }),
+                };
+                self.specs += 1;
+                Record::Spec(TenantSpec {
+                    name,
+                    workload,
+                    kind,
+                    seed,
+                    cores,
+                    refs,
+                    fault,
+                })
+            }
+            REC_CHECKPOINT => Record::Checkpoint(Checkpoint {
+                tenant: self.tenant(payload, off, at)?,
+                tick: self.uv(payload, off, at)?,
+                retired: self.uv(payload, off, at)?,
+                stalled: self.uv(payload, off, at)?,
+                cycles: self.uv(payload, off, at)?,
+            }),
+            REC_TERMINAL => Record::Terminal(Terminal {
+                tenant: self.tenant(payload, off, at)?,
+                tick: self.uv(payload, off, at)?,
+                status: TenantStatus::ALL
+                    .get(self.index(payload, off, at)?)
+                    .copied()
+                    .ok_or_else(|| corrupt_at(at, "terminal record status index out of range"))?,
+                retired: self.uv(payload, off, at)?,
+                stalled: self.uv(payload, off, at)?,
+                cycles: self.uv(payload, off, at)?,
+                fired_at: match self.uv(payload, off, at)? {
+                    0 => None,
+                    1 => Some(self.uv(payload, off, at)?),
+                    _ => return Err(corrupt_at(at, "malformed fired_at presence tag")),
+                },
+                l2_misses: self.uv(payload, off, at)?,
+                vd_hits: self.uv(payload, off, at)?,
+                detail: self.str(payload, off, at)?,
+            }),
+            _ => return Err(corrupt_at(at, "unknown record type inside frame")),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::decode_journal;
     use secdir_mem::SplitMix64;
 
     #[test]
@@ -817,7 +660,15 @@ mod tests {
             burst_off: nums[2].rotate_left(7),
             audit: nums[3] & 1 == 1,
         };
-        let info = TerminalInfo {
+        let checkpoint = Checkpoint {
+            tenant: 0,
+            tick: nums[0],
+            retired: nums[1],
+            stalled: nums[2],
+            cycles: nums[3],
+        };
+        let terminal = Terminal {
+            tenant: 0,
             tick: nums[4],
             status: TenantStatus::ALL[status_i],
             retired: nums[5].wrapping_mul(3),
@@ -826,23 +677,30 @@ mod tests {
             fired_at: (nums[8] & 1 == 1).then_some(nums[9]),
             l2_misses: nums[10].wrapping_add(1),
             vd_hits: nums[11].wrapping_add(2),
-            detail,
+            detail: detail.to_string(),
         };
-        let mut bytes = MAGIC.to_vec();
-        let mut frame = Vec::new();
-        enc_header(&mut frame, &header);
-        enc_spec(&mut frame, &spec);
-        write_frame(&mut bytes, &frame).expect("vec write");
-        frame.clear();
-        enc_checkpoint(&mut frame, 0, nums[0], nums[1], nums[2], nums[3]);
-        enc_terminal(&mut frame, 0, &info);
-        write_frame(&mut bytes, &frame).expect("vec write");
-        let lines = vec![
-            render_header(&header),
-            render_spec(&spec),
-            render_checkpoint(&spec.name, nums[0], nums[1], nums[2], nums[3]),
-            render_terminal(&spec.name, &info),
+        let records = [
+            Record::Header(header),
+            Record::Spec(spec),
+            Record::Checkpoint(checkpoint),
+            Record::Terminal(terminal),
         ];
+        let mut bytes = MAGIC.to_vec();
+        for pair in records.chunks(2) {
+            let mut frame = Vec::new();
+            for rec in pair {
+                encode(&mut frame, rec);
+            }
+            write_frame(&mut bytes, &frame).expect("vec write");
+        }
+        let lines = records
+            .iter()
+            .map(|rec| {
+                let mut line = String::new();
+                rec.render_into(&mut line, &[name]);
+                line
+            })
+            .collect();
         (bytes, lines)
     }
 

@@ -37,8 +37,8 @@ mod journal;
 mod quarantine;
 mod scheduler;
 
-pub use codec::{decode_journal, DecodedJournal, JournalFormat};
-pub use journal::ServeError;
+pub use codec::JournalFormat;
+pub use journal::{decode_journal, DecodedJournal, ServeError};
 
 use crate::engine::{Access, AccessStream};
 use crate::inject::FaultPlan;
@@ -46,7 +46,7 @@ use crate::machine::Machine;
 use crate::sweep::panic_message;
 use crate::{DirectoryKind, MachineConfig};
 use admission::Admission;
-use journal::{GhostEnd, JournalSink, TerminalInfo};
+use journal::{Checkpoint, GhostEnd, JournalSink, Record, Terminal};
 use scheduler::{SourceRt, TenantShared};
 use secdir_mem::{LineAddr, SplitMix64};
 use std::collections::{BTreeSet, VecDeque};
@@ -110,7 +110,7 @@ impl TenantStatus {
 
 /// One tenant: identity, workload, machine shape, and an optional armed
 /// fault.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TenantSpec {
     /// Unique tenant name (journal key).
     pub name: String,
@@ -160,10 +160,12 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Run a final oracle sweep before a `done` record.
     pub final_audit: bool,
-    /// Journal encoding. Not part of the journaled header: the record
-    /// *content* is format-independent (a binary journal decodes to the
-    /// byte-identical JSONL journal), and the file's own magic already
-    /// identifies its encoding.
+    /// How journal records are written: one JSON line each, or packed
+    /// into checksummed binary frames. Not part of the journaled header:
+    /// the records are the same values either way (a binary journal
+    /// decodes to the byte-identical JSONL journal), and the file's own
+    /// magic already identifies its encoding. A JSONL journal resumes
+    /// only from canonical lines, each exactly as the writer renders it.
     pub format: JournalFormat,
 }
 
@@ -198,10 +200,16 @@ impl ServeConfig {
             if spec.name.is_empty() {
                 return cfg_err("tenant with an empty name".to_string());
             }
-            // Journal records are matched back to tenants by comparing
-            // the raw (escaped) field text against the spec name, so a
-            // name that the journal writer would escape cannot round-trip
-            // through `--resume`. Reject it up front.
+            // Names stay text JSON carries without escapes, so a tenant's
+            // name appears verbatim in every journal line that names it;
+            // the length bound keeps a decoded journal linear in size.
+            if spec.name.len() > journal::MAX_NAME {
+                return cfg_err(format!(
+                    "tenant name of {} bytes is longer than the journal's {}-byte limit",
+                    spec.name.len(),
+                    journal::MAX_NAME
+                ));
+            }
             if spec
                 .name
                 .chars()
@@ -326,7 +334,7 @@ pub struct ServeReport {
     pub outcomes: Vec<TenantOutcome>,
     /// Virtual ticks the run took.
     pub ticks: u64,
-    /// Journal lines replayed from a surviving prefix (0 on a fresh
+    /// Journal records replayed from a surviving prefix (0 on a fresh
     /// run).
     pub kept_records: usize,
     /// Whether a truncated final journal line / torn final frame was
@@ -444,44 +452,57 @@ impl Driver<'_, '_, '_> {
     /// Emits the tick-0 `shed` records for tenants past the waiting
     /// room.
     fn shed_initial(&mut self) -> Result<(), ServeError> {
-        let cfg = self.cfg;
-        let n = cfg.tenants.len();
-        for i in self.admission.shed(n) {
-            let spec = &cfg.tenants[i];
-            let record = if self.ghost[i].is_some() {
-                self.journal
-                    .emit_ghost(i, &spec.name, 0, 0, 0, Some(TenantStatus::Shed))?
-                    .line
-            } else {
-                let info = TerminalInfo {
-                    tick: 0,
-                    status: TenantStatus::Shed,
-                    retired: 0,
-                    stalled: 0,
-                    cycles: 0,
-                    fired_at: None,
-                    l2_misses: 0,
-                    vd_hits: 0,
-                    detail: "",
-                };
-                self.journal.emit_terminal(i, &spec.name, &info)?
-            };
-            self.outcomes[i] = Some(TenantOutcome {
-                name: spec.name.clone(),
-                status: TenantStatus::Shed,
-                tick: 0,
-                retired: 0,
-                stalled: 0,
-                cycles: 0,
-                fired_at: None,
-                l2_misses: 0,
-                vd_hits: 0,
-                detail: String::new(),
-                record,
-            });
-            self.phase[i] = Phase::Terminal;
-            self.live -= 1;
+        let shared = self.shared;
+        for i in self.admission.shed(self.cfg.tenants.len()) {
+            self.terminate(i, &lock_slot(&shared[i]), TenantStatus::Shed, String::new())?;
         }
+        Ok(())
+    }
+
+    /// Emits tenant `i`'s terminal record and keeps its outcome, built
+    /// from the record as written — for a ghost, the kept record.
+    fn terminate(
+        &mut self,
+        i: usize,
+        rt: &TenantShared,
+        status: TenantStatus,
+        detail: String,
+    ) -> Result<(), ServeError> {
+        let (l2_misses, vd_hits) = rt.machine.as_ref().map_or((0, 0), |m| {
+            let stats = m.stats();
+            let vd = stats.cores.iter().map(|c| c.vd_hits).sum();
+            (stats.total_l2_misses(), vd)
+        });
+        let replayed = Terminal {
+            tenant: i,
+            tick: self.tick,
+            status,
+            retired: rt.retired,
+            stalled: rt.stalled,
+            cycles: rt.cycles,
+            fired_at: rt.machine.as_ref().and_then(Machine::fault_fired),
+            l2_misses,
+            vd_hits,
+            detail,
+        };
+        let (t, record) = self
+            .journal
+            .emit_terminal(replayed, self.ghost[i].is_some())?;
+        self.outcomes[i] = Some(TenantOutcome {
+            name: self.cfg.tenants[i].name.clone(),
+            status: t.status,
+            tick: t.tick,
+            retired: t.retired,
+            stalled: t.stalled,
+            cycles: t.cycles,
+            fired_at: t.fired_at,
+            l2_misses: t.l2_misses,
+            vd_hits: t.vd_hits,
+            detail: t.detail,
+            record,
+        });
+        self.phase[i] = Phase::Terminal;
+        self.live -= 1;
         Ok(())
     }
 
@@ -587,13 +608,13 @@ impl Driver<'_, '_, '_> {
     /// Phase III: terminal decisions, checkpoint/terminal emission, and
     /// slot release, in tenant-index order.
     fn emit_phase(&mut self) -> Result<(), ServeError> {
-        let cfg = self.cfg;
-        for i in 0..self.shared.len() {
+        let (cfg, shared) = (self.cfg, self.shared);
+        for (i, slot) in shared.iter().enumerate() {
             if self.phase[i] != Phase::Active {
                 continue;
             }
             let spec = &cfg.tenants[i];
-            let mut rt = lock_slot(&self.shared[i]);
+            let mut rt = lock_slot(slot);
             let decided: Option<(TenantStatus, String)> = if let Some(msg) = rt.panic_msg.take() {
                 // A panic out of a machine whose armed fault already fired
                 // is the engine's own defensive layer detecting the
@@ -647,81 +668,23 @@ impl Driver<'_, '_, '_> {
                     let due = rt.retired / cfg.checkpoint_interval;
                     if due > self.checkpoints[i] {
                         self.checkpoints[i] = due;
-                        if rt.ghost {
-                            self.journal.emit_ghost(
-                                i, &spec.name, self.tick, rt.retired, rt.stalled, None,
-                            )?;
-                        } else {
-                            self.journal.emit_checkpoint(
-                                i, &spec.name, self.tick, rt.retired, rt.stalled, rt.cycles,
-                            )?;
-                        }
-                    }
-                }
-                Some((status, detail)) => {
-                    let mut fired = rt.machine.as_ref().and_then(Machine::fault_fired);
-                    let (record, cycles, l2_misses, vd_hits) = if rt.ghost {
-                        let spliced = self.journal.emit_ghost(
-                            i,
-                            &spec.name,
-                            self.tick,
-                            rt.retired,
-                            rt.stalled,
-                            Some(status),
-                        )?;
-                        // Counters a ghost replay does not recompute come
-                        // back out of the spliced record itself.
-                        fired = spliced.fired_at;
-                        (
-                            spliced.line,
-                            spliced.cycles,
-                            spliced.l2_misses,
-                            spliced.vd_hits,
-                        )
-                    } else {
-                        let (l2_misses, vd_hits) = rt
-                            .machine
-                            .as_ref()
-                            .map(|m| {
-                                let stats = m.stats();
-                                let vd = stats.cores.iter().map(|c| c.vd_hits).sum();
-                                (stats.total_l2_misses(), vd)
-                            })
-                            .unwrap_or((0, 0));
-                        let info = TerminalInfo {
+                        let rec = Record::Checkpoint(Checkpoint {
+                            tenant: i,
                             tick: self.tick,
-                            status,
                             retired: rt.retired,
                             stalled: rt.stalled,
                             cycles: rt.cycles,
-                            fired_at: fired,
-                            l2_misses,
-                            vd_hits,
-                            detail: &detail,
-                        };
-                        let line = self.journal.emit_terminal(i, &spec.name, &info)?;
-                        (line, rt.cycles, l2_misses, vd_hits)
-                    };
-                    self.outcomes[i] = Some(TenantOutcome {
-                        name: spec.name.clone(),
-                        status,
-                        tick: self.tick,
-                        retired: rt.retired,
-                        stalled: rt.stalled,
-                        cycles,
-                        fired_at: fired,
-                        l2_misses,
-                        vd_hits,
-                        detail,
-                        record,
-                    });
+                        });
+                        self.journal.emit(rec, rt.ghost)?;
+                    }
+                }
+                Some((status, detail)) => {
+                    self.terminate(i, &rt, status, detail)?;
                     rt.active = false;
                     rt.machine = None;
                     rt.queues = Vec::new();
                     drop(rt);
                     self.sources[i] = None;
-                    self.phase[i] = Phase::Terminal;
-                    self.live -= 1;
                     self.admission.release();
                 }
             }
@@ -779,10 +742,9 @@ impl Driver<'_, '_, '_> {
 ///
 /// `checkpoint` is the surviving journal bytes for `--resume` (empty
 /// for a fresh run), in `cfg.format`'s encoding; `sink` receives the
-/// full journal, rewritten from tick 0 — kept records are verified
-/// against the deterministic replay and spliced or re-emitted
-/// byte-identically, so the output never depends on where a previous
-/// run was killed, nor on `workers`.
+/// full journal, rewritten from tick 0 — kept records are compared
+/// with the deterministic replay and written again, so the output never
+/// depends on where a previous run was killed, nor on `workers`.
 ///
 /// # Errors
 ///
@@ -798,11 +760,11 @@ pub fn run_serve(
     sink: &mut dyn Write,
 ) -> Result<ServeReport, ServeError> {
     cfg.validate()?;
-    let plan = journal::plan(cfg, checkpoint, cfg.format)?;
+    let plan = journal::plan(cfg, checkpoint)?;
     let recovered_truncation = plan.recovered_truncation;
-    let mut journal_sink = JournalSink::new(sink, plan.kept, cfg.format);
-    let kept_records = journal_sink.kept_len();
-    journal_sink.begin(cfg)?;
+    let kept_records = plan.kept.len();
+    let mut journal_sink = JournalSink::new(sink, cfg, plan.kept);
+    journal_sink.begin()?;
 
     let n = cfg.tenants.len();
     let shared: Vec<Mutex<TenantShared>> = (0..n)

@@ -365,6 +365,40 @@ mod serve_journal {
     }
 
     #[test]
+    fn non_canonical_ghost_records_are_rejected() {
+        // Every tenant's terminal survives in the full journal, so every
+        // record is a ghost's: resume keeps it instead of regenerating
+        // it. A kept line that still parses but is not byte-for-byte what
+        // the writer renders must not be copied into the new journal.
+        let full = full_journal();
+        let lines: Vec<&str> = full.lines().collect();
+        let checkpoint = lines
+            .iter()
+            .position(|l| l.starts_with("{\"tick\"") && !l.contains("\"status\""))
+            .expect("run produced a checkpoint record");
+        let terminal = lines
+            .iter()
+            .position(|l| l.contains("\"status\""))
+            .expect("run produced a terminal record");
+        let spaced = |l: &str| l.replacen('{', "{ ", 1);
+        let extra = |l: &str| format!("{},\"x\":1}}", &l[..l.len() - 1]);
+        for idx in [checkpoint, terminal] {
+            for mutate in [&spaced as &dyn Fn(&str) -> String, &extra] {
+                let mut tampered = lines.clone();
+                let line = mutate(lines[idx]);
+                tampered[idx] = &line;
+                let text = format!("{}\n", tampered.join("\n"));
+                match run(&text) {
+                    Err(ServeError::Corrupt(msg)) => {
+                        assert!(msg.contains("journal"), "unhelpful message: {msg}")
+                    }
+                    other => panic!("non-canonical line {line:?} accepted: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn out_of_order_records_are_rejected() {
         let full = full_journal();
         let mut lines: Vec<&str> = full.lines().collect();

@@ -8,9 +8,10 @@
 use secdir_machine::resume::plan_resume;
 use secdir_machine::sweep::{run_cell, run_matrix, sweep, CellSpec, SweepMatrix, SweepOptions};
 use secdir_machine::{
-    run_workload, run_workload_sliced, run_workload_sliced_with, run_workload_with, DirectoryKind,
-    Machine, MachineConfig, MachineStats, RunSummary, Scheduler, SlicedOptions,
+    run_workload, run_workload_sliced, run_workload_sliced_with, AccessStream, CoreRun,
+    DirectoryKind, Machine, MachineConfig, MachineStats, RunSummary, SlicedOptions,
 };
+use secdir_mem::CoreId;
 use secdir_workloads::registry;
 
 fn small_matrix() -> SweepMatrix {
@@ -71,6 +72,64 @@ fn resumed_sweep_is_byte_identical_at_any_thread_count() {
         let fresh = run_matrix(&to_run, &registry::factory, &SweepOptions::new(threads));
         let merged = plan.merge(&fresh).join("\n") + "\n";
         assert_eq!(merged, full_text, "threads={threads}");
+    }
+}
+
+/// Which engine loop a heap-vs-scan comparison runs.
+#[derive(Clone, Copy)]
+enum Scheduler {
+    /// The engine itself: `run_workload`'s heap.
+    Heap,
+    /// [`run_scan`], the reference.
+    Scan,
+}
+
+/// The reference scheduler: a linear `min_by_key` scan over `(ready,
+/// core)`, pulling each reference only when its core is picked, built
+/// on the public `Machine::access`.
+fn run_scan(
+    machine: &mut Machine,
+    streams: &mut [Box<dyn AccessStream + '_>],
+    cap: u64,
+) -> RunSummary {
+    let n = streams.len();
+    let mut runs = vec![CoreRun::default(); n];
+    let (mut ready, mut done) = (vec![0u64; n], vec![false; n]);
+    while let Some(core) = (0..n).filter(|&i| !done[i]).min_by_key(|&i| (ready[i], i)) {
+        let next = if runs[core].accesses < cap {
+            streams[core].next_access()
+        } else {
+            None
+        };
+        match next {
+            Some(acc) => {
+                let outcome = machine.access(CoreId(core), acc.line, acc.write);
+                runs[core].instructions += u64::from(acc.gap) + 1;
+                runs[core].accesses += 1;
+                ready[core] += u64::from(acc.gap) + outcome.latency;
+            }
+            None => {
+                runs[core].finish_time = ready[core];
+                done[core] = true;
+            }
+        }
+    }
+    let cycles = runs.iter().map(|r| r.finish_time).max().unwrap_or(0);
+    RunSummary {
+        cores: runs,
+        cycles,
+    }
+}
+
+fn run_workload_with(
+    machine: &mut Machine,
+    streams: &mut [Box<dyn AccessStream + '_>],
+    cap: u64,
+    scheduler: Scheduler,
+) -> RunSummary {
+    match scheduler {
+        Scheduler::Heap => run_workload(machine, streams, cap),
+        Scheduler::Scan => run_scan(machine, streams, cap),
     }
 }
 
