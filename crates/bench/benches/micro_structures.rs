@@ -3,7 +3,7 @@
 //! whole-machine access latency.
 //!
 //! These quantify the *simulator's* costs and the relative work of the two
-//! directory organizations, complementing the table/figure benches. Timed
+//! directory organizations, complementing the paper claims table. Timed
 //! with `std::time::Instant` (the offline environment has no criterion);
 //! each case reports the mean wall time per iteration over a fixed batch.
 
@@ -11,11 +11,14 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use secdir::{SecDirConfig, SecDirSlice, VdBank, VdHashing};
-use secdir_bench::header;
 use secdir_cache::Geometry;
 use secdir_coherence::{AccessKind, BaselineDirConfig, BaselineSlice, DirSlice};
 use secdir_machine::{DirectoryKind, Machine, MachineConfig};
 use secdir_mem::{CoreId, LineAddr, SplitMix64};
+
+fn header(title: &str) {
+    println!("\n=== {title} ===");
+}
 
 /// Runs `iters` repetitions of `f` and prints mean ns/iter.
 fn report<T>(name: &str, iters: u64, mut f: impl FnMut() -> T) {

@@ -1,32 +1,8 @@
 //! `secdir-sim` — command-line driver for the SecDir reproduction.
 //!
-//! ```text
-//! secdir-sim attack  [--directory KIND] [--attack NAME] [--bits N] [--cores N]
-//! secdir-sim spec    --mix NAME   [--directory KIND] [--refs N] [--slice-threads N]
-//! secdir-sim parsec  --app NAME   [--directory KIND] [--refs N]
-//! secdir-sim aes     [--directory KIND] [--encryptions N]
-//! secdir-sim design  [--cores N]
-//! secdir-sim trace   --mix NAME --out FILE [--refs N]   (capture)
-//! secdir-sim trace   --replay FILE [--directory KIND]   (replay)
-//! secdir-sim sweep   [--workloads LIST] [--directories LIST] [--seeds LIST]
-//!                    [--threads N] [--out FILE] [--resume FILE]
-//!                    [--fail-fast] [--budget N]
-//! secdir-sim serve   [--tenants N] [--workloads LIST] [--directories LIST]
-//!                    [--journal FILE] [--resume] [--workers N]
-//!                    [--inject] [--out FILE] [--bench FILE] [...]
-//! secdir-sim perf    [--quick] [--directories LIST] [--workload NAME]
-//!                    [--threads N] [--epoch-batch LIST] [--out FILE]
-//! secdir-sim inject  [--directories LIST] [--faults LIST] [--trigger N]
-//!                    [--out FILE]
-//! secdir-sim verif   [--kinds LIST] [--cores N] [--lines N] [--l2 N]
-//!                    [--ed N] [--td N] [--vd N]
-//! secdir-sim lint    [--root PATH]
-//! ```
-//!
-//! Directory kinds: `baseline`, `baseline-fixed`, `secdir` (default),
-//! `secdir-plain-vd`, `way-partitioned`, `vd-only`, `vd-only-plain`.
-//! Attacks: `evict-reload` (default), `prime-probe`, `evict-time`.
-//! Every command accepts `--help`/`-h` for its flag list.
+//! `secdir-sim --help` lists the commands and `secdir-sim <command>
+//! --help` prints each command's flags. Those usage texts are the only
+//! index; `tests/cli_usage.rs` pins them, with every exit code.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -1531,8 +1507,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
 
 fn usage() -> &'static str {
     "usage: secdir-sim <attack|spec|parsec|aes|design|trace|sweep|serve|decode|perf|inject|verif|lint> [--flags...]\n\
-     run `secdir-sim <command> --help` for that command's flags; see the\n\
-     module docs (`cargo doc`) or README.md for the full index."
+     run `secdir-sim <command> --help` for that command's flags."
 }
 
 fn main() -> ExitCode {
